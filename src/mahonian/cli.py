@@ -30,15 +30,40 @@ from .stats import (
     inv_c,
     maj,
     max_inv_c,
+    statistic_value,
     tilde_inv_c,
 )
 
 _SEQ_NAMES = ("ic", "I", "d", "t", "r", "iinv")
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
 def _default_cap() -> int:
     env = os.environ.get("MAHONIAN_CAP")
-    return int(env) if env else oracle.DEFAULT_CAP
+    if not env:
+        return oracle.DEFAULT_CAP
+    try:
+        return _nonnegative_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"MAHONIAN_CAP: {exc}") from None
 
 
 def _emit_rows(rows: list[tuple], fmt: str, fields: tuple[str, ...]) -> None:
@@ -161,8 +186,6 @@ def cmd_table(args) -> int:
             fixture = tables.table1_sets(stat)
             by_k: dict[int, set[str]] = {}
             for sigma in oracle.enumerate_group(3, 2):
-                from .stats import statistic_value
-
                 by_k.setdefault(statistic_value(stat, sigma), set()).add(str(sigma))
             for k in range(max_inv_c(3, 2) + 1):
                 ok = by_k.get(k, set()) == fixture.get(k, set())
@@ -215,15 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stat", help="statistics of one colored permutation")
     p.add_argument("--perm", required=True, help='token string, e.g. "3[1] 2 1[2] 4[1]"')
-    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--c", type=_positive_int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_stat)
 
     p = sub.add_parser("seq", help="counting sequences")
     p.add_argument("--name", choices=_SEQ_NAMES, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--c", type=_positive_int, required=True)
+    p.add_argument("--n-max", type=_nonnegative_int, required=True)
+    p.add_argument("--k", type=_nonnegative_int)
     p.add_argument(
         "--method",
         choices=[m.value for m in MahonianMethod],
@@ -234,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("dist", help="exhaustive statistic distribution")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--c", type=_positive_int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--class", choices=[k.value for k in ClassKind], default="all")
     p.add_argument(
         "--statistic", choices=[s.value for s in StatisticKind], default="inv_c"
     )
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_nonnegative_int)
     p.add_argument("--check", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_dist)
@@ -250,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the full cross-check suite")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_nonnegative_int, default=oracle.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -262,7 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,6 +25,16 @@ class KnuthNettoDomainError(ValueError):
     """The pentagonal-number formula is only valid for 0 <= k <= n."""
 
 
+def exact_int(x: Fraction) -> int:
+    """x as an int, raising ArithmeticError unless it is integral.
+
+    An explicit check, not an assert, so that it also runs under python -O.
+    """
+    if x.denominator != 1:
+        raise ArithmeticError(f"expected an integer, got {x}")
+    return int(x)
+
+
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient, 0 unless 0 <= b <= a."""
     if 0 <= b <= a:
@@ -287,9 +297,7 @@ def total_inversions_closed(n: int, c: int) -> int:
     if n < 0 or c < 1:
         raise ValueError("need n >= 0 and c >= 1")
     num = c**n * math.factorial(n) * (c * (n * (n + 1) // 2) - n)
-    q, r = divmod(num, 2)
-    assert r == 0
-    return q
+    return exact_int(Fraction(num, 2))
 
 
 def total_inversions_recurrence(n: int, c: int) -> int:
@@ -302,9 +310,7 @@ def total_inversions_recurrence(n: int, c: int) -> int:
     total = c * (c - 1) // 2
     for m in range(2, n + 1):
         step = c**m * math.factorial(m) * (c * m - 1)
-        q, r = divmod(step, 2)
-        assert r == 0
-        total = q + c * m * total
+        total = exact_int(Fraction(step, 2)) + c * m * total
     return total
 
 
@@ -326,5 +332,4 @@ def total_inversions_ratio(n: int, c: int) -> int:
         start = 2
     for m in range(start, n + 1):
         total *= Fraction(c * m * m * (c * m + c - 2), (m - 1) * (c * m - 2))
-    assert total.denominator == 1
-    return int(total)
+    return exact_int(total)

@@ -3,8 +3,10 @@ verification suite that cross-checks every closed form against it."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
 from typing import Iterator
@@ -83,73 +85,201 @@ class Distribution:
         return sum(k * v for k, v in self.histogram.items())
 
 
-@dataclass
-class _GroupScan:
-    """Everything one exhaustive pass over the group can report."""
+_PROJECTIONS = {
+    StatisticKind.INV_C: lambda c, inv, col, cross: inv + col + c * cross,
+    StatisticKind.TILDE_INV_C: lambda c, inv, col, cross: c * inv + col,
+    StatisticKind.INV_UNDERLYING: lambda c, inv, col, cross: inv,
+    StatisticKind.COL: lambda c, inv, col, cross: col,
+}
 
-    size: int = 0
-    hist_inv_c: dict[int, int] = field(default_factory=dict)
-    hist_tilde: dict[int, int] = field(default_factory=dict)
-    hist_inv: dict[int, int] = field(default_factory=dict)
-    hist_col: dict[int, int] = field(default_factory=dict)
-    derangement_count: int = 0
-    derangement_total: int = 0
-    derangement_hist: dict[int, int] = field(default_factory=dict)
-    involution_count: int = 0
-    involution_total: int = 0
-    involution_hist: dict[int, int] = field(default_factory=dict)
+
+@dataclass(frozen=True)
+class _GroupScan:
+    """Everything one exhaustive pass over the group can report.
+
+    `joint[kind]` counts the elements of one class by (inv(|sigma|),
+    col(sigma), cross(sigma)); every histogram, count and total below is a
+    projection of it.
+    """
+
+    n: int
+    c: int
+    joint: dict[ClassKind, dict[tuple[int, int, int], int]]
+
+    def histogram(self, class_kind: ClassKind, statistic: StatisticKind) -> dict[int, int]:
+        project = _PROJECTIONS[statistic]
+        hist: dict[int, int] = {}
+        for (inv, col, cross), count in self.joint[class_kind].items():
+            k = project(self.c, inv, col, cross)
+            hist[k] = hist.get(k, 0) + count
+        return hist
+
+    def count(self, class_kind: ClassKind) -> int:
+        return sum(self.joint[class_kind].values())
+
+    def inv_c_total(self, class_kind: ClassKind) -> int:
+        project = _PROJECTIONS[StatisticKind.INV_C]
+        return sum(project(self.c, *key) * count for key, count in self.joint[class_kind].items())
+
+    @property
+    def size(self) -> int:
+        return self.count(ClassKind.ALL)
+
+    @property
+    def hist_inv_c(self) -> dict[int, int]:
+        return self.histogram(ClassKind.ALL, StatisticKind.INV_C)
+
+    @property
+    def hist_tilde(self) -> dict[int, int]:
+        return self.histogram(ClassKind.ALL, StatisticKind.TILDE_INV_C)
+
+    @property
+    def hist_inv(self) -> dict[int, int]:
+        return self.histogram(ClassKind.ALL, StatisticKind.INV_UNDERLYING)
+
+    @property
+    def hist_col(self) -> dict[int, int]:
+        return self.histogram(ClassKind.ALL, StatisticKind.COL)
+
+    @property
+    def derangement_count(self) -> int:
+        return self.count(ClassKind.DERANGEMENTS)
+
+    @property
+    def derangement_total(self) -> int:
+        return self.inv_c_total(ClassKind.DERANGEMENTS)
+
+    @property
+    def involution_count(self) -> int:
+        return self.count(ClassKind.INVOLUTIONS)
+
+    @property
+    def involution_total(self) -> int:
+        return self.inv_c_total(ClassKind.INVOLUTIONS)
+
+
+# Element keys are counted in batches of about this many: one Counter update
+# per permutation made the c = 1 scans about a fifth slower. Kept small, as
+# the batch is most of the scan's memory.
+_FLUSH = 1 << 10
 
 
 def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
-    """One pass over the whole group, collecting histograms and class totals.
+    """One pass over the whole group, counting every element into the
+    joint (inv, col, cross) histogram of each class it belongs to.
 
-    Works on raw (values, colors) windows rather than permutation objects;
-    per color vector only the color sum and the gated ascent sum change.
+    A depth-first walk appends values left to right. A value v placed at
+    position j as the r-th smallest unused value has a = v - 1 - r smaller
+    values before it and j - a larger ones, so inv(|sigma|) and the ascent
+    count a = #{i < j : sigma_i < sigma_j} cost O(1) per step. The color
+    vectors grow with the prefix: color k > 0 at that position adds k to
+    col and a to cross. Each element is one int key packing, in mixed
+    radix, col, cross, inv and its number of fixed points of color 0,
+    which is 0 exactly on derangements.
     """
     size = group_size(n, c)
     if size > cap:
         raise CapExceeded(size, cap)
-    out = _GroupScan()
-    color_vectors = list(product(range(c), repeat=n))
-    for values in permutations(range(1, n + 1)):
-        inv_p = sum(
-            values[i] > values[j] for i in range(n) for j in range(i + 1, n)
-        )
-        asc = [sum(values[i] < values[j] for i in range(j)) for j in range(n)]
-        fixed = [i for i in range(n) if values[i] == i + 1]
-        underlying_involution = all(values[values[i] - 1] == i + 1 for i in range(n))
-        pairs = (
-            [(i, values[i] - 1) for i in range(n) if values[i] - 1 > i]
-            if underlying_involution
-            else []
-        )
-        for cv in color_vectors:
-            colsum = 0
-            cross = 0
-            for j in range(n):
-                cj = cv[j]
-                if cj:
-                    colsum += cj
-                    cross += asc[j]
-            k = inv_p + colsum + c * cross
-            out.size += 1
-            out.hist_inv_c[k] = out.hist_inv_c.get(k, 0) + 1
-            kt = c * inv_p + colsum
-            out.hist_tilde[kt] = out.hist_tilde.get(kt, 0) + 1
-            out.hist_inv[inv_p] = out.hist_inv.get(inv_p, 0) + 1
-            out.hist_col[colsum] = out.hist_col.get(colsum, 0) + 1
-            if all(cv[i] for i in fixed):
-                out.derangement_count += 1
-                out.derangement_total += k
-                out.derangement_hist[k] = out.derangement_hist.get(k, 0) + 1
-            if underlying_involution:
-                if all((2 * cv[i]) % c == 0 for i in fixed) and all(
-                    (cv[i] + cv[j]) % c == 0 for i, j in pairs
-                ):
-                    out.involution_count += 1
-                    out.involution_total += k
-                    out.involution_hist[k] = out.involution_hist.get(k, 0) + 1
-    return out
+    pair_values = n * (n - 1) // 2 + 1  # inv and cross lie in 0..binom(n, 2)
+    r_cross = n * (c - 1) + 1
+    r_inv = r_cross * pair_values
+    r_zero = r_inv * pair_values
+    # steps[fixed][j][a][k]: key step of color k for the value placed at
+    # position j with a smaller values before it
+    steps = [
+        [
+            [[r_inv * (j - a) + (k + r_cross * a if k else r_zero * fixed) for k in range(c)]
+             for a in range(n)]
+            for j in range(n)
+        ]
+        for fixed in (0, 1)
+    ]
+    everything: Counter[int] = Counter()
+    involutions: Counter[int] = Counter()
+    pending: list[int] = []
+    values = [0] * n
+    asc = [0] * n
+
+    def involution_keys() -> list[int]:
+        """Keys of the colorings of an underlying involution that make an
+        involution: 2k = 0 (mod c) on a fixed value, k + k' = 0 (mod c) on
+        a 2-cycle."""
+        keys = [r_inv * sum(j - a for j, a in enumerate(asc))]
+        for i, v in enumerate(values):
+            if v == i + 1:
+                a = asc[i]
+                colorings = [
+                    k + (r_cross * a if k else 0) for k in range(c) if 2 * k % c == 0
+                ]
+            elif v > i + 1:
+                a, b = asc[i], asc[v - 1]
+                colorings = [
+                    k + kk + r_cross * (a * (k > 0) + b * (kk > 0))
+                    for k in range(c)
+                    for kk in range(c)
+                    if (k + kk) % c == 0
+                ]
+            else:
+                continue
+            keys = [key + s for s in colorings for key in keys]
+        return keys
+
+    def extend(j: int, unused: list[int], keys: list[int], involutive: bool) -> None:
+        free, fixed = steps[0][j], steps[1][j]
+        for r, v in enumerate(unused):
+            a = v - 1 - r
+            values[j] = v
+            asc[j] = a
+            grown = [key + s for s in (fixed if v == j + 1 else free)[a] for key in keys]
+            # position j+1 mapping below itself must close a 2-cycle
+            still_involutive = involutive and (v > j or values[v - 1] == j + 1)
+            if j + 1 < n:
+                extend(j + 1, unused[:r] + unused[r + 1:], grown, still_involutive)
+                continue
+            pending.extend(grown)
+            if still_involutive:
+                involutions.update(involution_keys())
+        if len(pending) >= _FLUSH:
+            everything.update(pending)
+            pending.clear()
+
+    if n:
+        extend(0, list(range(1, n + 1)), [0], True)
+    else:  # the empty window: one element, a derangement and an involution
+        pending.append(0)
+        involutions[0] = 1
+    everything.update(pending)
+
+    def unpack(counts: Counter[int], zero_free_only: bool) -> dict[tuple[int, int, int], int]:
+        joint: dict[tuple[int, int, int], int] = {}
+        for key, count in counts.items():
+            zero_fixed, rest = divmod(key, r_zero)
+            if zero_fixed and zero_free_only:
+                continue
+            inv, rest = divmod(rest, r_inv)
+            cross, col = divmod(rest, r_cross)
+            t = (inv, col, cross)
+            joint[t] = joint.get(t, 0) + count
+        return joint
+
+    return _GroupScan(n, c, {
+        ClassKind.ALL: unpack(everything, False),
+        ClassKind.DERANGEMENTS: unpack(everything, True),
+        ClassKind.INVOLUTIONS: unpack(involutions, False),
+    })
+
+
+# Groups whose class x statistic histograms distribution() keeps, so that
+# asking for another class or statistic of a group does not scan it again.
+_MEMO_GROUPS = 32
+
+
+@functools.lru_cache(maxsize=_MEMO_GROUPS)
+def _class_histograms(n: int, c: int) -> dict[tuple[ClassKind, StatisticKind], dict[int, int]]:
+    scan = scan_group(n, c, cap=group_size(n, c))
+    return {
+        (kind, stat): scan.histogram(kind, stat) for kind in ClassKind for stat in StatisticKind
+    }
 
 
 def distribution(
@@ -164,28 +294,8 @@ def distribution(
     size = group_size(n, c)
     if size > cap:
         raise CapExceeded(size, cap)
-    hist: dict[int, int] = {}
-    count = 0
-    for sigma in enumerate_group(n, c, cap):
-        if class_kind is ClassKind.DERANGEMENTS and not sigma.is_derangement():
-            continue
-        if class_kind is ClassKind.INVOLUTIONS and not sigma.is_involution():
-            continue
-        if statistic is StatisticKind.INV_C:
-            k = inv_c(sigma)
-        elif statistic is StatisticKind.TILDE_INV_C:
-            k = tilde_inv_c(sigma)
-        elif statistic is StatisticKind.INV_UNDERLYING:
-            k = sum(
-                sigma.values[i] > sigma.values[j]
-                for i in range(n)
-                for j in range(i + 1, n)
-            )
-        else:
-            k = sum(sigma.colors)
-        hist[k] = hist.get(k, 0) + 1
-        count += 1
-    return Distribution(c, n, class_kind, statistic, hist, count)
+    hist = dict(_class_histograms(n, c)[class_kind, statistic])
+    return Distribution(c, n, class_kind, statistic, hist, sum(hist.values()))
 
 
 def total_statistic(
@@ -256,6 +366,7 @@ def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
     for c, n in pairs:
         params = {"c": c, "n": n}
         scan = scan_group(n, c, cap=max(max_budget, 1))
+        hist = scan.hist_inv_c
         expected = _gf_histogram(n, c)
         report.append(
             _entry(
@@ -264,19 +375,19 @@ def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
             )
         )
         report.append(
-            _entry("inv-c-histogram-matches-gf", params, scan.hist_inv_c == expected)
+            _entry("inv-c-histogram-matches-gf", params, hist == expected)
         )
         report.append(
-            _entry("tilde-histogram-matches-inv-c", params, scan.hist_tilde == scan.hist_inv_c)
+            _entry("tilde-histogram-matches-inv-c", params, scan.hist_tilde == hist)
         )
         codes = code_sum_histogram(n, c, cap=max(max_budget, 1))
         report.append(_entry("code-sum-histogram-matches-gf", params, codes == expected))
         top = max_inv_c(n, c)
         palindromic = all(
-            scan.hist_inv_c.get(k, 0) == scan.hist_inv_c.get(top - k, 0)
+            hist.get(k, 0) == hist.get(top - k, 0)
             for k in range(top + 1)
         )
-        full_support = set(scan.hist_inv_c) == set(range(top + 1))
+        full_support = set(hist) == set(range(top + 1))
         report.append(
             _entry("histogram-palindromic-full-support", params, palindromic and full_support)
         )
@@ -284,7 +395,7 @@ def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
             _entry(
                 "first-moment-matches-closed-form",
                 params,
-                sum(k * v for k, v in scan.hist_inv_c.items()) == total_inversions_closed(n, c),
+                sum(k * v for k, v in hist.items()) == total_inversions_closed(n, c),
             )
         )
         report.append(

@@ -2,7 +2,7 @@
 
 The alternating sums below involve divisions by 12, 2, and 6 that are
 only exact after the whole sum is assembled, so intermediate values are
-held as Fractions and integrality is asserted at the end.
+held as Fractions and integrality is checked at the end.
 """
 
 from __future__ import annotations
@@ -10,12 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .counting import binomial, com_bounded
-
-
-def _as_int(x: Fraction) -> int:
-    assert x.denominator == 1, f"expected an integer, got {x}"
-    return int(x)
+from .counting import binomial, com_bounded, exact_int
 
 
 def derangement_count(n: int, c: int) -> int:
@@ -47,7 +42,7 @@ def t_classical(n: int) -> int:
         Fraction((-1) ** k * (3 * n + k) * (n - k - 1), math.factorial(k))
         for k in range(n)
     )
-    return _as_int(Fraction(fact, 12) * total)
+    return exact_int(Fraction(fact, 12) * total)
 
 
 def t_colored_terms(n: int, c: int) -> tuple[int, int, int, int]:
@@ -82,7 +77,7 @@ def t_colored_terms(n: int, c: int) -> tuple[int, int, int, int]:
         for k in range(1, n)
     )
 
-    return _as_int(a_term), _as_int(b_term), _as_int(c1_term), _as_int(c2_term)
+    return exact_int(a_term), exact_int(b_term), exact_int(c1_term), exact_int(c2_term)
 
 
 def t_colored(n: int, c: int) -> int:
@@ -102,7 +97,7 @@ def involution_count(n: int, c: int) -> int:
             binomial(n, k) * fixed_colors**k * c**m * math.factorial(n - k),
             2 ** ((n + k) // 2) * math.factorial(m),
         )
-        total += _as_int(summand)
+        total += exact_int(summand)
     return total
 
 
@@ -145,4 +140,4 @@ def involution_inv_total(n: int, c: int) -> int:
         + 2 * c * c * (e + 2) * binomial(n, 3) * _r(n - 3, c)
         + 6 * c**3 * binomial(n, 4) * _r(n - 4, c)
     )
-    return _as_int(first + rest)
+    return exact_int(first + rest)

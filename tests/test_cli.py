@@ -175,3 +175,29 @@ class TestUsage:
 
     def test_missing_required(self, capsys):
         assert run(capsys, "dist", "--c", "2")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seq", "--name", "ic", "--c", "0", "--n-max", "3"],
+            ["dist", "--c", "0", "--n", "3"],
+            ["dist", "--c", "2", "--n", "-1"],
+            ["seq", "--name", "ic", "--c", "2", "--n-max", "3", "--k", "-1"],
+            ["seq", "--name", "d", "--c", "2", "--n-max", "-1"],
+            ["dist", "--c", "2", "--n", "3", "--cap", "-1"],
+            ["verify", "--budget", "-1"],
+        ],
+    )
+    def test_out_of_range_argument_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    @pytest.mark.parametrize("cap", ["abc", "-5"])
+    def test_bad_cap_env_exit_2(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("MAHONIAN_CAP", cap)
+        code, out, err = run(capsys, "dist", "--c", "2", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "error: MAHONIAN_CAP" in err

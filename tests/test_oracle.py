@@ -15,8 +15,9 @@ from mahonian import (
     total_statistic,
     verify_suite,
 )
+from mahonian import counting, oracle, special
 from mahonian.oracle import code_sum_histogram, coverage_pairs, scan_group
-from mahonian.stats import StatisticKind
+from mahonian.stats import StatisticKind, statistic_value
 
 
 class TestEnumeration:
@@ -63,8 +64,63 @@ class TestScan:
             inv_c(x) for x in elems if x.is_involution()
         )
 
+    def test_needs_no_formula(self, monkeypatch):
+        """The scan and distribution() reach no generating function or
+        closed form, however they are bound."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called a formula")
+
+        formulas = [counting.gf_colored] + [
+            f for name, f in vars(special).items()
+            if callable(f) and not name.startswith("_") and f.__module__ == special.__name__
+        ]
+        for module in (counting, special, oracle):
+            for name, value in list(vars(module).items()):
+                if any(value is f for f in formulas):
+                    monkeypatch.setattr(module, name, forbidden)
+        oracle._class_histograms.cache_clear()
+        s = scan_group(4, 3)
+        assert s.size == group_size(4, 3)
+        involutions = distribution(3, 3, ClassKind.INVOLUTIONS)
+        assert involutions.total_count == sum(x.is_involution() for x in enumerate_group(3, 3))
+        oracle._class_histograms.cache_clear()
+
+
+def _literal_histogram(n, c, kind, stat):
+    """Count of each statistic value over the class, element by element."""
+    keep = {
+        ClassKind.ALL: lambda x: True,
+        ClassKind.DERANGEMENTS: lambda x: x.is_derangement(),
+        ClassKind.INVOLUTIONS: lambda x: x.is_involution(),
+    }[kind]
+    return dict(Counter(statistic_value(stat, x) for x in enumerate_group(n, c) if keep(x)))
+
 
 class TestDistribution:
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_every_class_and_statistic_matches_definitions(self, c):
+        for n in range(5):
+            for kind in ClassKind:
+                for stat in StatisticKind:
+                    d = distribution(n, c, kind, stat)
+                    assert d.histogram == _literal_histogram(n, c, kind, stat), (n, kind, stat)
+                    assert d.total_count == sum(d.histogram.values())
+
+    def test_returned_histogram_is_a_copy(self):
+        first = distribution(3, 2, ClassKind.DERANGEMENTS, StatisticKind.COL)
+        expected = dict(first.histogram)
+        first.histogram[0] = 10**6
+        first.histogram.pop(1)
+        again = distribution(3, 2, ClassKind.DERANGEMENTS, StatisticKind.COL)
+        assert again.histogram == expected
+        assert again.histogram is not first.histogram
+
+    def test_cap_checked_after_an_earlier_call(self):
+        distribution(3, 3)
+        with pytest.raises(CapExceeded):
+            distribution(3, 3, cap=100)
+
     def test_matches_gf(self, scan):
         for c, n in [(2, 3), (3, 2), (1, 5)]:
             d = distribution(n, c)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mahonian import (
@@ -124,3 +130,40 @@ class TestInvolutionInversionTotals:
         assert involution_inv_total(0, 3) == 0
         assert involution_inv_total(1, 1) == 0
         assert involution_inv_total(1, 3) == 0
+
+
+# Run under python -O, where asserts are stripped: every integrality check
+# must still raise. An odd factorial makes the grand totals' halving and
+# t_classical's division by 12 inexact.
+_INTEGRALITY_PROBE = """
+import json, math
+from fractions import Fraction
+from mahonian import counting, special
+
+def raises(f, *args):
+    try:
+        f(*args)
+    except ArithmeticError:
+        return True
+    return False
+
+result = {"debug": __debug__, "exact_int": raises(counting.exact_int, Fraction(1, 3))}
+math.factorial = lambda m: 1
+result["closed"] = raises(counting.total_inversions_closed, 2, 1)
+result["recurrence"] = raises(counting.total_inversions_recurrence, 2, 1)
+result["t_classical"] = raises(special.t_classical, 2)
+print(json.dumps(result))
+"""
+
+
+def test_integrality_checks_survive_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _INTEGRALITY_PROBE],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "debug": False, "exact_int": True, "closed": True,
+        "recurrence": True, "t_classical": True,
+    }
