@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mahonian import oracle
 from mahonian.cli import main
 
 
@@ -201,3 +206,77 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "error: MAHONIAN_CAP" in err
+
+
+
+_INTS = st.integers(-2, 4).map(str)
+_FORMATS = st.sampled_from(("csv", "json"))
+_OPTIONS = {  # each subcommand's options and a strategy for a value of each
+    "stat": {
+        "--perm": st.sampled_from(("2 1", "1[1] 2", "3[1] 2 1[2] 4[1]", "", "1 1", "1[9]", "0")),
+        "--c": _INTS,
+        "--format": _FORMATS,
+    },
+    "seq": {
+        "--name": st.sampled_from(("ic", "I", "d", "t", "r", "iinv")),
+        "--c": _INTS,
+        "--n-max": _INTS,
+        "--k": _INTS,
+        "--method": st.sampled_from((
+            "gen_func", "recurrence", "summation", "knuth_netto",
+            "partition_conv", "composition_split", "lattice_path",
+        )),
+        "--format": _FORMATS,
+    },
+    "dist": {
+        "--c": _INTS,
+        "--n": _INTS,
+        "--class": st.sampled_from(("all", "derangements", "involutions")),
+        "--statistic": st.sampled_from(("inv_c", "tilde_inv_c", "inv", "col")),
+        "--cap": _INTS,
+        "--check": st.just(None),
+        "--format": _FORMATS,
+    },
+    "table": {"--which": _INTS},
+    "verify": {"--budget": _INTS},
+}
+_REQUIRED = {"--perm", "--c", "--name", "--n-max", "--n", "--which"}
+_JUNK = st.sampled_from(("", "x", "-", "--", "--nope", "-h", "1.5", "=", "[1]", "1e3", "0x3"))
+_TOKEN = st.one_of(_JUNK, _INTS, st.sampled_from(sorted(_OPTIONS)))
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its required options (mostly) and some of its
+    others, each with a valid or junk value, in any order, and now and
+    then a junk token anywhere."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for flag, values in draw(st.permutations(list(_OPTIONS[command].items()))):
+        if draw(st.integers(0, 15 if flag in _REQUIRED else 1)):
+            argv.append(flag)
+            value = draw(values if draw(st.integers(0, 3)) else _TOKEN)
+            if value is not None:
+                argv.append(value)
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TOKEN))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    argv=st.one_of(_argv(), _argv(), _argv(), st.lists(_TOKEN, max_size=6)),
+    cap=st.sampled_from(("100", "4", "0", "-1", "abc")),
+)
+def test_any_argv_keeps_the_exit_code_contract(argv, cap):
+    """Every argv list exits 0, 1, 2 or 3 without a traceback. MAHONIAN_CAP
+    is always set and the default verify budget is cut to 100, so that
+    table --which 3 and a bare verify stay small."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MAHONIAN_CAP", cap)
+        mp.setattr(oracle, "DEFAULT_BUDGET", 100)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

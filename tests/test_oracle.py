@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,7 @@ from mahonian import (
     total_statistic,
     verify_suite,
 )
-from mahonian import counting, oracle, special
+from mahonian import counting, oracle, special, tables
 from mahonian.oracle import code_sum_histogram, coverage_pairs, scan_group
 from mahonian.stats import StatisticKind, statistic_value
 
@@ -44,7 +45,9 @@ class TestEnumeration:
 
 
 class TestScan:
-    @pytest.mark.parametrize("c,n", [(1, 5), (2, 4), (3, 3), (5, 2)])
+    @pytest.mark.parametrize(
+        "c,n", [(1, 0), (1, 1), (1, 5), (1, 7), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2)]
+    )
     def test_matches_slow_path(self, c, n, scan):
         s = scan(c, n)
         elems = list(enumerate_group(n, c))
@@ -64,9 +67,15 @@ class TestScan:
             inv_c(x) for x in elems if x.is_involution()
         )
 
+    @pytest.mark.parametrize("c,n", [(1, 8), (2, 6), (4, 4)])
+    def test_memoised_suffixes_match_the_explicit_walk(self, c, n, monkeypatch):
+        memoised = scan_group(n, c).joint
+        monkeypatch.setattr(oracle, "_TAIL_KEYS", 0)
+        assert scan_group(n, c).joint == memoised
+
     def test_needs_no_formula(self, monkeypatch):
-        """The scan and distribution() reach no generating function or
-        closed form, however they are bound."""
+        """The scan, distribution() and code_sum_histogram reach no
+        generating function or closed form, however they are bound."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle called a formula")
@@ -84,6 +93,7 @@ class TestScan:
         assert s.size == group_size(4, 3)
         involutions = distribution(3, 3, ClassKind.INVOLUTIONS)
         assert involutions.total_count == sum(x.is_involution() for x in enumerate_group(3, 3))
+        assert sum(code_sum_histogram(4, 3).values()) == group_size(4, 3)
         oracle._class_histograms.cache_clear()
 
 
@@ -175,6 +185,12 @@ class TestCodeSumHistogram:
             }
             assert code_sum_histogram(n, c) == expected
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_literal_sums(self, n, c):
+        codes = product(*(range(c * i) for i in range(1, n + 1)))
+        assert code_sum_histogram(n, c) == dict(Counter(sum(e) for e in codes))
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             code_sum_histogram(12, 2, cap=1000)
@@ -228,6 +244,39 @@ class TestVerifySuite:
         assert len(report) == 1
         assert report[0]["identity"] == "coverage"
         assert report[0]["status"] == "pass"
+
+    def test_failures_name_the_first_failing_cell(self, monkeypatch):
+        wrong_t = {(2, 3): 10**6, (3, 4): 10**6}  # (c, n): injected value
+        wrong_iinv = {(1, 4): 10**6, (2, 2): 10**6}
+        wrong_rows = {(1, 2), (3, 5)}  # (c, n)
+        t_colored, iinv_total = special.t_colored, special.involution_inv_total
+        row_recurrence = counting._row_recurrence
+        monkeypatch.setattr(
+            special, "t_colored", lambda n, c: wrong_t.get((c, n)) or t_colored(n, c)
+        )
+        monkeypatch.setattr(
+            special, "involution_inv_total",
+            lambda n, c: wrong_iinv.get((c, n)) or iinv_total(n, c),
+        )
+
+        def recurrence(n, c):
+            row = row_recurrence(n, c)
+            return [x + 1 for x in row] if (c, n) in wrong_rows else row
+
+        monkeypatch.setattr(counting, "_row_recurrence", recurrence)
+        entries = {r["identity"]: r for r in verify_suite(10)}
+        table2, table4 = tables.table2(), tables.table4()
+
+        assert entries["table-2-fixture"]["status"] == "fail"
+        assert entries["table-2-fixture"]["detail"] == (
+            f"differs at (c=2, n=3): fixture {table2[2, 3]}, formula {10**6}"
+        )
+        assert entries["table-4-fixture"]["status"] == "fail"
+        assert entries["table-4-fixture"]["detail"] == (
+            f"differs at (c=1, n=4): fixture {table4[1, 4]}, formula {10**6}"
+        )
+        assert entries["method-agreement"]["status"] == "fail"
+        assert entries["method-agreement"]["detail"] == "recurrence disagrees at (n=2, c=1)"
 
     def test_entries_have_uniform_shape(self):
         for r in verify_suite(100):
