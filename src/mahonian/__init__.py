@@ -34,7 +34,6 @@ from .oracle import (
     distribution,
     enumerate_group,
     group_size,
-    total_statistic,
     verify_suite,
 )
 from .perm import ColoredElement, ColoredPermutation

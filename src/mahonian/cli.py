@@ -30,7 +30,6 @@ from .stats import (
     inv_c,
     maj,
     max_inv_c,
-    statistic_value,
     tilde_inv_c,
 )
 
@@ -142,19 +141,10 @@ def cmd_dist(args) -> int:
     rows = sorted(dist.histogram.items())
     _emit_rows(rows, args.format, ("k", "count"))
     if args.check:
-        from .counting import gf_colored
-
-        expected = {
-            k: v for k, v in enumerate(gf_colored(args.n, args.c).coefficients) if v
-        }
-        checked = (
-            ClassKind(getattr(args, "class")) is ClassKind.ALL
-            and StatisticKind(args.statistic) is StatisticKind.INV_C
-        )
-        if not checked:
+        if dist.class_kind is not ClassKind.ALL or dist.statistic is not StatisticKind.INV_C:
             print("check: only class=all statistic=inv_c is checked", file=sys.stderr)
             return 0
-        if dist.histogram == expected:
+        if dist.histogram == oracle.gf_histogram(args.n, args.c):
             print("check: histogram matches generating function", file=sys.stderr)
             return 0
         print("check: MISMATCH against generating function", file=sys.stderr)
@@ -162,31 +152,22 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _diff_table(which: int, fixture: dict, compute) -> int:
-    mismatches = 0
-    for (c, n), expected in sorted(fixture.items()):
-        computed = compute(n, c)
-        ok = computed == expected
-        mismatches += not ok
-        print(f"{which},{c},{n},{expected},{computed},{'ok' if ok else 'MISMATCH'}")
-    print(f"summary,{which},cells={len(fixture)},mismatches={mismatches}")
-    return 1 if mismatches else 0
-
-
 def cmd_table(args) -> int:
     which = args.which
-    if which == 2:
-        return _diff_table(2, tables.table2(), special.t_colored)
-    if which == 4:
-        return _diff_table(4, tables.table4(), special.involution_inv_total)
+    mismatches = 0
+    if which in (2, 4):
+        cells = oracle.fixture_cells(which)
+        for c, n, expected, computed in cells:
+            ok = computed == expected
+            mismatches += not ok
+            print(f"{which},{c},{n},{expected},{computed},{'ok' if ok else 'MISMATCH'}")
+        print(f"summary,{which},cells={len(cells)},mismatches={mismatches}")
+        return 1 if mismatches else 0
 
     if which == 1:
-        mismatches = 0
         for stat in (StatisticKind.INV_C, StatisticKind.TILDE_INV_C):
             fixture = tables.table1_sets(stat)
-            by_k: dict[int, set[str]] = {}
-            for sigma in oracle.enumerate_group(3, 2):
-                by_k.setdefault(statistic_value(stat, sigma), set()).add(str(sigma))
+            by_k = oracle.table1_computed(stat)
             for k in range(max_inv_c(3, 2) + 1):
                 ok = by_k.get(k, set()) == fixture.get(k, set())
                 mismatches += not ok
@@ -208,17 +189,11 @@ def cmd_table(args) -> int:
         print(f"3,row_label={row.row_label},fixture={list(row.fixture)},"
               f"computed_r1_r7={list(row.computed)},{status}")
     cap = min(_default_cap(), 10**6)
-    mismatches = 0
-    checked = 0
-    for c in range(1, 7):
-        n = 0
-        while oracle.group_size(n, c) <= cap:
-            scan = oracle.scan_group(n, c, cap)
-            ok = scan.involution_count == special.involution_count(n, c)
-            mismatches += not ok
-            checked += 1
-            n += 1
-    print(f"summary,3,formula_vs_oracle_cells={checked},mismatches={mismatches}")
+    pairs = oracle.coverage_pairs(cap, max_c=6)
+    for c, n in pairs:
+        scan = oracle.scan_group(n, c, cap)
+        mismatches += scan.count(ClassKind.INVOLUTIONS) != special.involution_count(n, c)
+    print(f"summary,3,formula_vs_oracle_cells={len(pairs)},mismatches={mismatches}")
     return 1 if mismatches else 0
 
 

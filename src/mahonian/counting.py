@@ -57,7 +57,13 @@ def i_classical(n: int, k: int) -> int:
     return gf_colored(n, 1).coefficient(k)
 
 
+def _row_gen_func(n: int, c: int) -> list[int]:
+    """Coefficients of the product [c]_q [2c]_q ... [nc]_q."""
+    return list(gf_colored(n, c).coefficients)
+
+
 def _row_recurrence(n: int, c: int) -> list[int]:
+    """Three-term recurrence i_c(n,k) = i_c(n,k-1) + i_c(n-1,k) - i_c(n-1,k-cn)."""
     row = [1]
     for m in range(1, n + 1):
         top = max_inv_c(m, c)
@@ -72,16 +78,9 @@ def _row_recurrence(n: int, c: int) -> list[int]:
     return row
 
 
-def i_colored_recurrence(n: int, k: int, c: int) -> int:
-    """Three-term recurrence i_c(n,k) = i_c(n,k-1) + i_c(n-1,k) - i_c(n-1,k-cn)."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
-    if k < 0 or k > max_inv_c(n, c):
-        return 0
-    return _row_recurrence(n, c)[k]
-
-
 def _row_summation(n: int, c: int) -> list[int]:
+    """Window sum i_c(n,k) = sum_{j=0}^{cn-1} i_c(n-1, k-j): append a last
+    code entry j to a shorter code."""
     row = [1]
     for m in range(1, n + 1):
         top = max_inv_c(m, c)
@@ -90,16 +89,6 @@ def _row_summation(n: int, c: int) -> list[int]:
             for k2 in range(top + 1)
         ]
     return row
-
-
-def i_colored_summation(n: int, k: int, c: int) -> int:
-    """Window sum i_c(n,k) = sum_{j=0}^{cn-1} i_c(n-1, k-j): append a last
-    code entry j to a shorter code."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
-    if k < 0 or k > max_inv_c(n, c):
-        return 0
-    return _row_summation(n, c)[k]
 
 
 def pentagonal(j: int) -> tuple[int, int]:
@@ -130,6 +119,11 @@ def i_colored_knuth_netto(n: int, k: int, c: int) -> int:
     return total
 
 
+def _row_knuth_netto(n: int, c: int) -> list[int]:
+    """The valid prefix k = 0..n of the row, cell by cell."""
+    return [i_colored_knuth_netto(n, k, c) for k in range(min(n, max_inv_c(n, c)) + 1)]
+
+
 def _p_bounded_table(limit_part: int, limit_mult: int, m: int) -> list[int]:
     """Counts of bounded partitions for every target 0..m."""
     counts = [0] * (m + 1)
@@ -156,15 +150,15 @@ def p_bounded(limit_part: int, limit_mult: int, m: int) -> int:
     return _p_bounded_table(limit_part, limit_mult, m)[m]
 
 
-def i_colored_partition_conv(n: int, k: int, c: int) -> int:
+def _row_partition_conv(n: int, c: int) -> list[int]:
     """Convolution of classical Mahonian numbers with bounded partitions."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
-    if k < 0:
-        return 0
+    top = max_inv_c(n, c)
     classical = gf_colored(n, 1)
-    parts = _p_bounded_table(n, c - 1, k)
-    return sum(classical.coefficient(j) * parts[k - j] for j in range(k + 1))
+    parts = _p_bounded_table(n, c - 1, top)
+    return [
+        sum(classical.coefficient(j) * parts[k - j] for j in range(k + 1))
+        for k in range(top + 1)
+    ]
 
 
 def com_bounded(parts: int, total: int, c: int) -> int:
@@ -191,97 +185,28 @@ def com_bounded_dp(parts: int, total: int, c: int) -> int:
     return counts[total]
 
 
-def i_colored_composition_split(n: int, k: int, c: int) -> int:
+def _row_composition_split(n: int, c: int) -> list[int]:
     """Split k = c*a + b: a classical inversion count and a bounded
     composition of color weights."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
     classical = gf_colored(n, 1)
-    total = 0
-    for b in range(min(k, n * (c - 1)) + 1):
-        if (k - b) % c == 0:
-            total += com_bounded(n, b, c) * classical.coefficient((k - b) // c)
-    return total
+    row = [0] * (max_inv_c(n, c) + 1)
+    for b in range(n * (c - 1) + 1):
+        ways = com_bounded(n, b, c)
+        if ways:
+            for a in range(len(classical.coefficients)):
+                row[c * a + b] += ways * classical.coefficient(a)
+    return row
 
 
-def i_colored_lattice_path(n: int, k: int, c: int) -> int:
+def _row_lattice_path(n: int, c: int) -> list[int]:
     """North/east lattice paths from (0,0) to (n,k) with fewer than c*j
     north steps at level j."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
-    if k < 0:
-        return 0
-    paths = [0] * (k + 1)
-    paths[0] = 1
-    for level in range(1, n + 1):
-        limit = c * level - 1
-        # prefix sums give the <= limit north-run window in O(k)
-        prefix = [0] * (k + 2)
-        for y in range(k + 1):
-            prefix[y + 1] = prefix[y] + paths[y]
-        paths = [
-            prefix[y + 1] - (prefix[y - limit] if y - limit >= 0 else 0)
-            for y in range(k + 1)
-        ]
-    return paths[k]
-
-
-_METHODS = {
-    MahonianMethod.GEN_FUNC: lambda n, k, c: gf_colored(n, c).coefficient(k),
-    MahonianMethod.RECURRENCE: i_colored_recurrence,
-    MahonianMethod.SUMMATION: i_colored_summation,
-    MahonianMethod.KNUTH_NETTO: i_colored_knuth_netto,
-    MahonianMethod.PARTITION_CONV: i_colored_partition_conv,
-    MahonianMethod.COMPOSITION_SPLIT: i_colored_composition_split,
-    MahonianMethod.LATTICE_PATH: i_colored_lattice_path,
-}
-
-
-def i_colored(n: int, k: int, c: int, method: MahonianMethod = MahonianMethod.GEN_FUNC) -> int:
-    return _METHODS[MahonianMethod(method)](n, k, c)
-
-
-def i_colored_row(n: int, c: int, method: MahonianMethod = MahonianMethod.GEN_FUNC) -> list[int]:
-    """The whole sequence i_c(n, 0..max) in one computation.
-
-    For KNUTH_NETTO only the valid prefix k = 0..n is returned.
-    """
-    method = MahonianMethod(method)
-    top = max_inv_c(n, c)
-    if method is MahonianMethod.KNUTH_NETTO:
-        return [i_colored_knuth_netto(n, k, c) for k in range(min(n, top) + 1)]
-    if method is MahonianMethod.GEN_FUNC:
-        row = list(gf_colored(n, c).coefficients)
-        return row + [0] * (top + 1 - len(row))
-    if method is MahonianMethod.RECURRENCE:
-        return _row_recurrence(n, c)
-    if method is MahonianMethod.SUMMATION:
-        return _row_summation(n, c)
-    if method is MahonianMethod.PARTITION_CONV:
-        classical = gf_colored(n, 1)
-        parts = _p_bounded_table(n, c - 1, top)
-        return [
-            sum(classical.coefficient(j) * parts[k - j] for j in range(k + 1))
-            for k in range(top + 1)
-        ]
-    if method is MahonianMethod.COMPOSITION_SPLIT:
-        classical = gf_colored(n, 1)
-        row = [0] * (top + 1)
-        for b in range(n * (c - 1) + 1):
-            ways = com_bounded(n, b, c)
-            if ways:
-                for a in range(len(classical.coefficients)):
-                    row[c * a + b] += ways * classical.coefficient(a)
-        return row
-    return _lattice_row(n, c)
-
-
-def _lattice_row(n: int, c: int) -> list[int]:
     top = max_inv_c(n, c)
     paths = [0] * (top + 1)
     paths[0] = 1
     for level in range(1, n + 1):
         limit = c * level - 1
+        # prefix sums give the <= limit north-run window in O(top)
         prefix = [0] * (top + 2)
         for y in range(top + 1):
             prefix[y + 1] = prefix[y] + paths[y]
@@ -290,6 +215,36 @@ def _lattice_row(n: int, c: int) -> list[int]:
             for y in range(top + 1)
         ]
     return paths
+
+
+def i_colored_row(n: int, c: int, method: MahonianMethod = MahonianMethod.GEN_FUNC) -> list[int]:
+    """The whole sequence i_c(n, 0..max) in one computation.
+
+    For KNUTH_NETTO only the valid prefix k = 0..n is returned.
+    """
+    if n < 0 or c < 1:
+        raise ValueError("need n >= 0 and c >= 1")
+    # built per call, so that a replaced engine is the one that runs
+    rows = {
+        MahonianMethod.GEN_FUNC: _row_gen_func,
+        MahonianMethod.RECURRENCE: _row_recurrence,
+        MahonianMethod.SUMMATION: _row_summation,
+        MahonianMethod.KNUTH_NETTO: _row_knuth_netto,
+        MahonianMethod.PARTITION_CONV: _row_partition_conv,
+        MahonianMethod.COMPOSITION_SPLIT: _row_composition_split,
+        MahonianMethod.LATTICE_PATH: _row_lattice_path,
+    }
+    return rows[MahonianMethod(method)](n, c)
+
+
+def i_colored(n: int, k: int, c: int, method: MahonianMethod = MahonianMethod.GEN_FUNC) -> int:
+    """One cell of the method's row, 0 outside it; KNUTH_NETTO computes the
+    cell alone and raises outside 0 <= k <= n."""
+    method = MahonianMethod(method)
+    if method is MahonianMethod.KNUTH_NETTO:
+        return i_colored_knuth_netto(n, k, c)
+    row = i_colored_row(n, c, method)
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def total_inversions_closed(n: int, c: int) -> int:

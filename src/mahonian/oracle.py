@@ -21,7 +21,7 @@ from .counting import (
     total_inversions_recurrence,
 )
 from .perm import ColoredPermutation
-from .stats import StatisticKind, inv_c, max_inv_c, tilde_inv_c
+from .stats import StatisticKind, max_inv_c, statistic_value, tilde_inv_c
 
 DEFAULT_CAP = 10**7
 DEFAULT_BUDGET = 10**6
@@ -124,38 +124,6 @@ class _GroupScan:
     @property
     def size(self) -> int:
         return self.count(ClassKind.ALL)
-
-    @property
-    def hist_inv_c(self) -> dict[int, int]:
-        return self.histogram(ClassKind.ALL, StatisticKind.INV_C)
-
-    @property
-    def hist_tilde(self) -> dict[int, int]:
-        return self.histogram(ClassKind.ALL, StatisticKind.TILDE_INV_C)
-
-    @property
-    def hist_inv(self) -> dict[int, int]:
-        return self.histogram(ClassKind.ALL, StatisticKind.INV_UNDERLYING)
-
-    @property
-    def hist_col(self) -> dict[int, int]:
-        return self.histogram(ClassKind.ALL, StatisticKind.COL)
-
-    @property
-    def derangement_count(self) -> int:
-        return self.count(ClassKind.DERANGEMENTS)
-
-    @property
-    def derangement_total(self) -> int:
-        return self.inv_c_total(ClassKind.DERANGEMENTS)
-
-    @property
-    def involution_count(self) -> int:
-        return self.count(ClassKind.INVOLUTIONS)
-
-    @property
-    def involution_total(self) -> int:
-        return self.inv_c_total(ClassKind.INVOLUTIONS)
 
 
 # Element keys are counted in batches of about this many: one Counter update
@@ -329,16 +297,6 @@ def distribution(
     return Distribution(c, n, class_kind, statistic, hist, sum(hist.values()))
 
 
-def total_statistic(
-    n: int,
-    c: int,
-    class_kind: ClassKind = ClassKind.ALL,
-    statistic: StatisticKind = StatisticKind.INV_C,
-    cap: int = DEFAULT_CAP,
-) -> int:
-    return distribution(n, c, class_kind, statistic, cap).first_moment()
-
-
 def code_sum_histogram(n: int, c: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
     """Entry-sum histogram over all colored Lehmer codes, by direct iteration.
 
@@ -386,20 +344,29 @@ def _entry(identity: str, params: dict, ok: bool, detail: str = "") -> dict:
     }
 
 
-def _first_mismatch(fixture: dict[tuple[int, int], int], formula) -> str:
-    """The first (c, n) cell, in order, where formula(n, c) differs from
-    the fixture, with both values; "" when every cell agrees."""
-    for (c, n), value in sorted(fixture.items()):
-        computed = formula(n, c)
-        if computed != value:
-            return f"differs at (c={c}, n={n}): fixture {value}, formula {computed}"
-    return ""
+def gf_histogram(n: int, c: int) -> dict[int, int]:
+    """The nonzero coefficients of the generating function, by power."""
+    return {k: v for k, v in enumerate(gf_colored(n, c).coefficients) if v}
 
 
-def _gf_histogram(n: int, c: int) -> dict[int, int]:
-    return {
-        k: v for k, v in enumerate(gf_colored(n, c).coefficients) if v
-    }
+def fixture_cells(which: int) -> list[tuple[int, int, int, int]]:
+    """(c, n, fixture value, formula value) for every cell of paper table 2
+    (derangement inversion totals) or 4 (involution inversion totals)."""
+    table, formula = {
+        2: (tables.table2, special.t_colored),
+        4: (tables.table4, special.involution_inv_total),
+    }[which]
+    return [(c, n, value, formula(n, c)) for (c, n), value in sorted(table().items())]
+
+
+def table1_computed(statistic: StatisticKind) -> dict[int, set[str]]:
+    """The windows of the c = 2, n = 3 group grouped by their statistic
+    value, as paper table 1 lists them."""
+    statistic = StatisticKind(statistic)
+    by_k: dict[int, set[str]] = {}
+    for sigma in enumerate_group(3, 2):
+        by_k.setdefault(statistic_value(statistic, sigma), set()).add(str(sigma))
+    return by_k
 
 
 def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
@@ -418,8 +385,8 @@ def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
     for c, n in pairs:
         params = {"c": c, "n": n}
         scan = scan_group(n, c, cap=max(max_budget, 1))
-        hist = scan.hist_inv_c
-        expected = _gf_histogram(n, c)
+        hist = scan.histogram(ClassKind.ALL, StatisticKind.INV_C)
+        expected = gf_histogram(n, c)
         report.append(
             _entry(
                 "group-size", params, scan.size == group_size(n, c),
@@ -429,9 +396,8 @@ def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
         report.append(
             _entry("inv-c-histogram-matches-gf", params, hist == expected)
         )
-        report.append(
-            _entry("tilde-histogram-matches-inv-c", params, scan.hist_tilde == hist)
-        )
+        tilde = scan.histogram(ClassKind.ALL, StatisticKind.TILDE_INV_C)
+        report.append(_entry("tilde-histogram-matches-inv-c", params, tilde == hist))
         codes = code_sum_histogram(n, c, cap=max(max_budget, 1))
         report.append(_entry("code-sum-histogram-matches-gf", params, codes == expected))
         top = max_inv_c(n, c)
@@ -450,36 +416,19 @@ def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
                 sum(k * v for k, v in hist.items()) == total_inversions_closed(n, c),
             )
         )
-        report.append(
-            _entry(
-                "derangement-count", params,
-                scan.derangement_count == special.derangement_count(n, c)
-                == special.derangement_count_recurrence(n, c),
-                f"enumerated {scan.derangement_count}",
-            )
-        )
-        report.append(
-            _entry(
-                "derangement-inversion-total", params,
-                scan.derangement_total == special.t_colored(n, c),
-                f"enumerated {scan.derangement_total}",
-            )
-        )
-        report.append(
-            _entry(
-                "involution-count", params,
-                scan.involution_count == special.involution_count(n, c)
-                == special.involution_count_recurrence(n, c),
-                f"enumerated {scan.involution_count}",
-            )
-        )
-        report.append(
-            _entry(
-                "involution-inversion-total", params,
-                scan.involution_total == special.involution_inv_total(n, c),
-                f"enumerated {scan.involution_total}",
-            )
-        )
+        for kind, name, count_routes, total_route in (
+            (ClassKind.DERANGEMENTS, "derangement",
+             (special.derangement_count, special.derangement_count_recurrence),
+             special.t_colored),
+            (ClassKind.INVOLUTIONS, "involution",
+             (special.involution_count, special.involution_count_recurrence),
+             special.involution_inv_total),
+        ):
+            count, total = scan.count(kind), scan.inv_c_total(kind)
+            ok = all(route(n, c) == count for route in count_routes)
+            report.append(_entry(f"{name}-count", params, ok, f"enumerated {count}"))
+            ok = total == total_route(n, c)
+            report.append(_entry(f"{name}-inversion-total", params, ok, f"enumerated {total}"))
 
     # bijection round-trips on every small group
     for c, n in pairs:
@@ -533,22 +482,23 @@ def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
     report.append(_entry("totals-chain", {"n_max": 30, "c_max": _VERIFY_MAX_C}, totals_ok))
 
     # paper table fixtures versus formulas
-    for identity, fixture, formula in (
-        ("table-2-fixture", tables.table2(), special.t_colored),
-        ("table-4-fixture", tables.table4(), special.involution_inv_total),
-    ):
-        mismatch = _first_mismatch(fixture, formula)
-        report.append(_entry(identity, {"cells": len(fixture)}, not mismatch, mismatch))
+    for which in (2, 4):
+        cells = fixture_cells(which)
+        detail = next(
+            (
+                f"differs at (c={c}, n={n}): fixture {value}, formula {computed}"
+                for c, n, value, computed in cells
+                if value != computed
+            ),
+            "",
+        )
+        report.append(_entry(f"table-{which}-fixture", {"cells": len(cells)}, not detail, detail))
     if group_size(3, 2) <= max_budget:
-        fixture = tables.table1_sets(StatisticKind.INV_C)
-        by_k: dict[int, set[str]] = {}
-        for sigma in enumerate_group(3, 2):
-            by_k.setdefault(inv_c(sigma), set()).add(str(sigma))
-        report.append(_entry("table-1-inv-c-sets", {"c": 2, "n": 3}, by_k == fixture))
-        fixture_t = tables.table1_sets(StatisticKind.TILDE_INV_C)
-        by_kt: dict[int, set[str]] = {}
-        for sigma in enumerate_group(3, 2):
-            by_kt.setdefault(tilde_inv_c(sigma), set()).add(str(sigma))
-        report.append(_entry("table-1-tilde-sets", {"c": 2, "n": 3}, by_kt == fixture_t))
+        for identity, stat in (
+            ("table-1-inv-c-sets", StatisticKind.INV_C),
+            ("table-1-tilde-sets", StatisticKind.TILDE_INV_C),
+        ):
+            ok = table1_computed(stat) == tables.table1_sets(stat)
+            report.append(_entry(identity, {"c": 2, "n": 3}, ok))
 
     return report

@@ -7,7 +7,6 @@ so multiplication is plain convolution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,15 +38,6 @@ class QPolynomial:
             return self.coefficients[k]
         return 0
 
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return QPolynomial(out)
-
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         a, b = self.coefficients, other.coefficients
         if not a or not b:
@@ -59,33 +49,8 @@ class QPolynomial:
                     out[i + j] += x * y
         return QPolynomial(out)
 
-    def substitute_power(self, m: int) -> "QPolynomial":
-        """Replace q by q^m."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        if not self.coefficients:
-            return QPolynomial(())
-        out = [0] * (m * self.degree + 1)
-        for i, x in enumerate(self.coefficients):
-            out[m * i] = x
-        return QPolynomial(out)
-
-    def evaluate(self, q: int) -> int:
-        acc = 0
-        for x in reversed(self.coefficients):
-            acc = acc * q + x
-        return acc
-
     def total(self) -> int:
         return sum(self.coefficients)
-
-    def to_json(self) -> str:
-        """Serialize as a JSON array of decimal strings, lowest degree first."""
-        return json.dumps([str(x) for x in self.coefficients])
-
-    @classmethod
-    def from_json(cls, text: str) -> "QPolynomial":
-        return cls(tuple(int(x) for x in json.loads(text)))
 
 
 def q_integer(m: int) -> QPolynomial:

@@ -31,6 +31,7 @@ from mahonian import lehmer, tables
 from mahonian.cli import main as cli_main
 from mahonian.counting import binomial, total_inversions_ratio
 from mahonian.oracle import (
+    ClassKind,
     code_sum_histogram,
     coverage_pairs,
     group_size,
@@ -80,8 +81,9 @@ def test_03_small_distribution_table(report, scan):
     start = time.perf_counter()
     expected_row = [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]
     s = scan(2, 3)
-    assert [s.hist_inv_c.get(k, 0) for k in range(10)] == expected_row
-    assert [s.hist_tilde.get(k, 0) for k in range(10)] == expected_row
+    for statistic in (StatisticKind.INV_C, StatisticKind.TILDE_INV_C):
+        hist = s.histogram(ClassKind.ALL, statistic)
+        assert [hist.get(k, 0) for k in range(10)] == expected_row
     sets = tables.table1_sets(StatisticKind.INV_C)
     assert [len(sets[k]) for k in range(10)] == expected_row
     elapsed = time.perf_counter() - start
@@ -94,7 +96,7 @@ def test_04_involution_count_and_misprinted_table(report, scan):
     for c in range(1, 7):
         n = 0
         while group_size(n, c) <= 10**6:
-            assert scan(c, n).involution_count == involution_count(n, c), (c, n)
+            assert scan(c, n).count(ClassKind.INVOLUTIONS) == involution_count(n, c), (c, n)
             checked += 1
             n += 1
     # the shipped involution-count table is misprinted; the analysis must
@@ -134,7 +136,7 @@ def test_06_equidistribution_exhaustive(report, scan, coverage_1e6):
     start = time.perf_counter()
     for c, n in coverage_1e6:
         expected = gf_hist(n, c)
-        assert scan(c, n).hist_inv_c == expected, (c, n)
+        assert scan(c, n).histogram(ClassKind.ALL, StatisticKind.INV_C) == expected, (c, n)
         assert code_sum_histogram(n, c) == expected, (c, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
@@ -154,7 +156,8 @@ def test_07_inversion_totals(report, scan, coverage_1e6):
     oracle_checked = 0
     for c, n in coverage_1e6:
         if n <= 8:
-            moment = sum(k * v for k, v in scan(c, n).hist_inv_c.items())
+            hist = scan(c, n).histogram(ClassKind.ALL, StatisticKind.INV_C)
+            moment = sum(k * v for k, v in hist.items())
             assert moment == total_inversions_closed(n, c), (c, n)
             oracle_checked += 1
     report(
@@ -169,8 +172,8 @@ def test_08_derangements(report, scan, coverage_1e6):
     for c, n in coverage_1e6:
         s = scan(c, n)
         count = derangement_count(n, c)
-        assert count == derangement_count_recurrence(n, c) == s.derangement_count
-        assert t_colored(n, c) == s.derangement_total, (c, n)
+        assert count == derangement_count_recurrence(n, c) == s.count(ClassKind.DERANGEMENTS)
+        assert t_colored(n, c) == s.inv_c_total(ClassKind.DERANGEMENTS), (c, n)
     report(f"counts and inversion totals exact on {len(coverage_1e6)} groups")
 
 
@@ -180,8 +183,8 @@ def test_09_involutions(report, scan, coverage_1e6):
     for c, n in coverage_1e6:
         s = scan(c, n)
         count = involution_count(n, c)
-        assert count == involution_count_recurrence(n, c) == s.involution_count
-        assert involution_inv_total(n, c) == s.involution_total, (c, n)
+        assert count == involution_count_recurrence(n, c) == s.count(ClassKind.INVOLUTIONS)
+        assert involution_inv_total(n, c) == s.inv_c_total(ClassKind.INVOLUTIONS), (c, n)
     report(f"counts and inversion totals exact on {len(coverage_1e6)} groups")
 
 

@@ -24,7 +24,7 @@ from mahonian.counting import (
     i_colored_knuth_netto,
     total_inversions_ratio,
 )
-from mahonian.qpoly import QPolynomial, q_integer
+from mahonian.qpoly import q_integer
 
 ALL_METHODS = list(MahonianMethod)
 
@@ -49,17 +49,8 @@ class TestQPolynomial:
 
     def test_total_and_evaluate(self):
         p = gf_colored(3, 2)
-        assert p.total() == 48
-        assert p.evaluate(1) == 48
-        assert p.evaluate(0) == 1
-
-    def test_substitute_power(self):
-        p = q_integer(3).substitute_power(2)
-        assert p.coefficients == (1, 0, 1, 0, 1)
-
-    def test_json_round_trip(self):
-        p = gf_colored(4, 3)
-        assert QPolynomial.from_json(p.to_json()) == p
+        assert p.total() == 48  # the value at q = 1
+        assert p.coefficient(0) == 1  # the value at q = 0
 
 
 class TestGeneratingFunction:
@@ -110,6 +101,36 @@ class TestSpotValues:
         assert i_colored(4, 5, 2, method) == 32
         assert i_colored(3, 4, 2, method) == 8
         assert i_colored(2, 4, 3, method) == 3
+
+
+class TestCellSemantics:
+    """i_colored reads one cell of its method's row; Knuth-Netto computes
+    the cell alone and is valid only for 0 <= k <= n."""
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_outside_the_row(self, method):
+        for n, c in [(0, 1), (3, 2), (4, 3)]:
+            for k in (-1, max_inv_c(n, c) + 1):
+                if method is MahonianMethod.KNUTH_NETTO:
+                    with pytest.raises(KnuthNettoDomainError):
+                        i_colored(n, k, c, method)
+                else:
+                    assert i_colored(n, k, c, method) == 0
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("n,c", [(-1, 2), (3, 0)])
+    def test_bad_group_raises(self, method, n, c):
+        with pytest.raises(ValueError):
+            i_colored(n, 0, c, method)
+        with pytest.raises(ValueError):
+            i_colored_row(n, c, method)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_cell_is_row_entry(self, method):
+        for n in range(6):
+            for c in (1, 2, 3):
+                row = i_colored_row(n, c, method)
+                assert [i_colored(n, k, c, method) for k in range(len(row))] == row
 
 
 class TestKnuthNetto:

@@ -13,7 +13,6 @@ from mahonian import (
     group_size,
     max_inv_c,
     total_inversions_closed,
-    total_statistic,
     verify_suite,
 )
 from mahonian import counting, oracle, special, tables
@@ -54,16 +53,19 @@ class TestScan:
         assert s.size == len(elems)
         from mahonian import inv, inv_c, tilde_inv_c
 
-        assert s.hist_inv_c == dict(Counter(inv_c(x) for x in elems))
-        assert s.hist_tilde == dict(Counter(tilde_inv_c(x) for x in elems))
-        assert s.hist_inv == dict(Counter(inv(x.values) for x in elems))
-        assert s.hist_col == dict(Counter(sum(x.colors) for x in elems))
-        assert s.derangement_count == sum(x.is_derangement() for x in elems)
-        assert s.involution_count == sum(x.is_involution() for x in elems)
-        assert s.derangement_total == sum(
+        def hist(statistic):
+            return s.histogram(ClassKind.ALL, statistic)
+
+        assert hist(StatisticKind.INV_C) == dict(Counter(inv_c(x) for x in elems))
+        assert hist(StatisticKind.TILDE_INV_C) == dict(Counter(tilde_inv_c(x) for x in elems))
+        assert hist(StatisticKind.INV_UNDERLYING) == dict(Counter(inv(x.values) for x in elems))
+        assert hist(StatisticKind.COL) == dict(Counter(sum(x.colors) for x in elems))
+        assert s.count(ClassKind.DERANGEMENTS) == sum(x.is_derangement() for x in elems)
+        assert s.count(ClassKind.INVOLUTIONS) == sum(x.is_involution() for x in elems)
+        assert s.inv_c_total(ClassKind.DERANGEMENTS) == sum(
             inv_c(x) for x in elems if x.is_derangement()
         )
-        assert s.involution_total == sum(
+        assert s.inv_c_total(ClassKind.INVOLUTIONS) == sum(
             inv_c(x) for x in elems if x.is_involution()
         )
 
@@ -159,7 +161,6 @@ class TestDistribution:
 
     def test_first_moment(self):
         assert distribution(3, 2).first_moment() == total_inversions_closed(3, 2)
-        assert total_statistic(3, 2) == total_inversions_closed(3, 2)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -171,7 +172,7 @@ class TestDistribution:
 
     def test_palindromic_full_support(self, scan):
         for c, n in [(2, 4), (3, 3), (4, 2)]:
-            hist = scan(c, n).hist_inv_c
+            hist = scan(c, n).histogram(ClassKind.ALL, StatisticKind.INV_C)
             top = max_inv_c(n, c)
             assert set(hist) == set(range(top + 1))
             assert all(hist[k] == hist[top - k] for k in hist)
