@@ -141,31 +141,21 @@ class ColoredPermutation:
         return cycles
 
     def is_involution(self) -> bool:
-        return window_is_involution(self.values, self.colors, self.c)
+        """A fixed value i needs 2*color == 0 (mod c); a transposition
+        i <-> j needs its two colors to sum to 0 (mod c)."""
+        values, colors, c = self.values, self.colors, self.c
+        for i, v in enumerate(values, start=1):
+            if v == i:
+                if (2 * colors[i - 1]) % c != 0:
+                    return False
+            elif values[v - 1] != i:
+                return False
+            elif (colors[i - 1] + colors[v - 1]) % c != 0:
+                return False
+        return True
 
     def is_derangement(self) -> bool:
-        return window_is_derangement(self.values, self.colors)
-
-
-def window_is_involution(values, colors, c: int) -> bool:
-    """Involution test on the raw window.
-
-    A fixed value i needs 2*color == 0 (mod c); a transposition i <-> j
-    needs its two colors to sum to 0 (mod c).
-    """
-    for i, v in enumerate(values, start=1):
-        if v == i:
-            if (2 * colors[i - 1]) % c != 0:
-                return False
-        elif values[v - 1] != i:
-            return False
-        elif (colors[i - 1] + colors[v - 1]) % c != 0:
-            return False
-    return True
-
-
-def window_is_derangement(values, colors) -> bool:
-    """True when no value is fixed with color 0."""
-    return not any(
-        v == i and k == 0 for i, (v, k) in enumerate(zip(values, colors), start=1)
-    )
+        """True when no value is fixed with color 0."""
+        return not any(
+            v == i and k == 0 for i, (v, k) in enumerate(zip(self.values, self.colors), start=1)
+        )

@@ -39,6 +39,11 @@ class TestClassicalCode:
     def test_decode_example(self):
         assert decode(LehmerCode((0, 1, 1, 0))) == (2, 3, 1, 4)
 
+    @pytest.mark.parametrize("pi", [(1, 1), (2, 3), (0, 1), (1, 3, 3), (2,)])
+    def test_encode_rejects_non_permutations(self, pi):
+        with pytest.raises(ValueError):
+            encode(pi)
+
     def test_round_trip_exhaustive(self):
         for n in range(7):
             for pi in permutations(range(1, n + 1)):
@@ -63,6 +68,11 @@ class TestColoredCode:
             codes = list(iter_codes(n, c))
             assert len(codes) == group_size(n, c)
             assert len(set(codes)) == len(codes)
+
+    @pytest.mark.parametrize("n,c", [(-1, 2), (2, 0), (0, 0), (-3, -1)])
+    def test_iter_codes_rejects_bad_arguments(self, n, c):
+        with pytest.raises(ValueError):
+            iter_codes(n, c)
 
     def test_sum_fixture_n4_c2_k5(self):
         # all 32 codes with c=2, n=4, entry sum 5

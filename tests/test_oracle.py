@@ -6,6 +6,8 @@ import pytest
 from mahonian import (
     CapExceeded,
     ClassKind,
+    ColoredLehmerCode,
+    ColoredPermutation,
     Distribution,
     distribution,
     enumerate_group,
@@ -15,7 +17,7 @@ from mahonian import (
     total_inversions_closed,
     verify_suite,
 )
-from mahonian import counting, oracle, special, tables
+from mahonian import counting, lehmer, oracle, special, tables
 from mahonian.oracle import code_sum_histogram, coverage_pairs, scan_group
 from mahonian.stats import StatisticKind, statistic_value
 
@@ -195,6 +197,69 @@ class TestCodeSumHistogram:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             code_sum_histogram(12, 2, cap=1000)
+
+
+# Wrong kernels, each of which a bijection-round-trips entry must catch.
+_LEHMER_MUTANTS = {
+    "encode counts larger values": (
+        "encode_values",
+        lambda pi: tuple(sum(w > v for w in pi[pi.index(v) + 1:]) for v in range(1, len(pi) + 1)),
+    ),
+    "decode inserts from the left": (
+        "insert_value", lambda values, i, e: values[:e] + (i,) + values[e:]
+    ),
+    "complement off by one": (
+        "complement_entries",
+        lambda entries, c: tuple(c * i - e for i, e in enumerate(entries, start=1)),
+    ),
+    "colors attached by position": ("colors_by_value", lambda values, b: tuple(b)),
+}
+
+
+class TestLehmerRoundTrips:
+    def test_visits_every_code_once(self, monkeypatch):
+        split = lehmer.split_entries
+        seen = []
+        monkeypatch.setattr(
+            lehmer, "split_entries", lambda code, c: seen.append(code) or split(code, c)
+        )
+        pairs = [
+            (c, n) for c, n in coverage_pairs(10**6) if group_size(n, c) <= oracle._ROUND_TRIP_MAX
+        ]
+        assert len(pairs) == 48
+        assert sum(group_size(n, c) for c, n in pairs) == 37201
+        for c, n in pairs:
+            seen.clear()
+            assert oracle.lehmer_round_trips(n, c) == group_size(n, c)
+            assert sorted(seen) == list(product(*(range(c * i) for i in range(1, n + 1))))
+
+    @pytest.mark.parametrize("mutant", sorted(_LEHMER_MUTANTS))
+    def test_wrong_kernel_fails_verify(self, mutant, monkeypatch):
+        monkeypatch.setattr(lehmer, *_LEHMER_MUTANTS[mutant])
+        failed = [
+            r["params"] for r in verify_suite(10**4)
+            if r["identity"] == "bijection-round-trips" and r["status"] == "fail"
+        ]
+        assert failed
+
+    def test_builds_no_object_per_element(self, monkeypatch):
+        built = Counter()
+
+        def counting_init(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                init(self, *args, **kwargs)
+
+            return counted
+
+        for cls in (ColoredPermutation, ColoredLehmerCode):
+            monkeypatch.setattr(cls, "__init__", counting_init(cls))
+        report = verify_suite(10**4)
+        assert all(r["status"] == "pass" for r in report)
+        assert built["ColoredPermutation"] >= 48  # the table-1 check's group
+        assert sum(built.values()) < 1000
 
 
 class TestCoverage:
