@@ -17,21 +17,13 @@ from . import oracle, special, tables
 from .counting import (
     KnuthNettoDomainError,
     MahonianMethod,
+    i_colored,
     i_colored_row,
     total_inversions_closed,
 )
 from .oracle import CapExceeded, ClassKind
 from .perm import ColoredPermutation
-from .stats import (
-    StatisticKind,
-    col,
-    cross_term,
-    inv,
-    inv_c,
-    maj,
-    max_inv_c,
-    tilde_inv_c,
-)
+from .stats import StatisticKind, col, cross_term, inv, maj, max_inv_c, projection
 
 _SEQ_NAMES = ("ic", "I", "d", "t", "r", "iinv")
 
@@ -79,14 +71,10 @@ def cmd_stat(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    record = {
-        "inv": inv(sigma.values),
-        "maj": maj(sigma.values),
-        "col": col(sigma),
-        "cross_term": cross_term(sigma),
-        "inv_c": inv_c(sigma),
-        "tilde_inv_c": tilde_inv_c(sigma),
-    }
+    counts = (sigma.c, inv(sigma.values), col(sigma), cross_term(sigma))
+    record = {"inv": counts[1], "maj": maj(sigma.values), "col": counts[2], "cross_term": counts[3]}
+    for kind in (StatisticKind.INV_C, StatisticKind.TILDE_INV_C):
+        record[kind.value] = projection(kind)(*counts)
     if args.format == "json":
         print(json.dumps(record))
     else:
@@ -97,24 +85,15 @@ def cmd_stat(args) -> int:
 
 def cmd_seq(args) -> int:
     if args.name == "ic":
-        n = args.n_max
-        method = MahonianMethod(args.method)
-        try:
-            row = i_colored_row(n, args.c, method)
-        except KnuthNettoDomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        if args.k is not None:
-            if method is MahonianMethod.KNUTH_NETTO and not 0 <= args.k <= n:
-                print(
-                    f"error: k={args.k} outside the valid range [0, n={n}] for {method.value}",
-                    file=sys.stderr,
-                )
-                return 3
-            value = row[args.k] if 0 <= args.k < len(row) else 0
-            _emit_rows([(args.k, value)], args.format, ("k", "value"))
+        if args.k is None:
+            rows = list(enumerate(i_colored_row(args.n_max, args.c, args.method)))
         else:
-            _emit_rows(list(enumerate(row)), args.format, ("k", "value"))
+            try:
+                rows = [(args.k, i_colored(args.n_max, args.k, args.c, args.method))]
+            except KnuthNettoDomainError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
+        _emit_rows(rows, args.format, ("k", "value"))
         return 0
 
     funcs = {

@@ -7,6 +7,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
+from .perm import check_group
 from .qpoly import QPolynomial, q_integer
 from .stats import max_inv_c
 
@@ -44,8 +45,7 @@ def binomial(a: int, b: int) -> int:
 
 def gf_colored(n: int, c: int) -> QPolynomial:
     """The product [c]_q [2c]_q ... [nc]_q; coefficient of q^k is i_c(n, k)."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     poly = QPolynomial.one()
     for i in range(1, n + 1):
         poly = poly * q_integer(c * i)
@@ -100,8 +100,7 @@ def pentagonal(j: int) -> tuple[int, int]:
 
 def i_colored_knuth_netto(n: int, k: int, c: int) -> int:
     """Pentagonal-number (Knuth-Netto style) formula, valid for 0 <= k <= n."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     if not 0 <= k <= n:
         raise KnuthNettoDomainError(f"k={k} outside the valid range [0, n={n}]")
     if n == 0:
@@ -222,8 +221,7 @@ def i_colored_row(n: int, c: int, method: MahonianMethod = MahonianMethod.GEN_FU
 
     For KNUTH_NETTO only the valid prefix k = 0..n is returned.
     """
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     # built per call, so that a replaced engine is the one that runs
     rows = {
         MahonianMethod.GEN_FUNC: _row_gen_func,
@@ -249,8 +247,7 @@ def i_colored(n: int, k: int, c: int, method: MahonianMethod = MahonianMethod.GE
 
 def total_inversions_closed(n: int, c: int) -> int:
     """Grand total of inv_c over the whole group: c^n n!/2 (c*binom(n+1,2) - n)."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     num = c**n * math.factorial(n) * (c * (n * (n + 1) // 2) - n)
     return exact_int(Fraction(num, 2))
 
@@ -258,8 +255,7 @@ def total_inversions_closed(n: int, c: int) -> int:
 def total_inversions_recurrence(n: int, c: int) -> int:
     """Same total via I_{c,n} = c^n n! (cn-1)/2 + c n I_{c,n-1}, seeded with
     I_{c,1} = binom(c, 2)."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     if n == 0:
         return 0
     total = c * (c - 1) // 2
@@ -272,8 +268,7 @@ def total_inversions_recurrence(n: int, c: int) -> int:
 def total_inversions_ratio(n: int, c: int) -> int:
     """Same total via the ratio I_{c,n}/I_{c,n-1} = c n^2 (cn+c-2) / ((n-1)(cn-2)),
     chained upward from I_{c,1}; valid for n >= 2 (and degenerate below)."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     if n == 0:
         return 0
     # the ratio degenerates to 0/0 at (c=1, n=2), so start the chain above it

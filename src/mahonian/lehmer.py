@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .perm import ColoredPermutation
+from .perm import ColoredPermutation, check_group
 
 
 class _Code:
@@ -155,7 +155,6 @@ def perm_to_code(sigma: ColoredPermutation) -> ColoredLehmerCode:
 
 def iter_codes(n: int, c: int) -> Iterator[ColoredLehmerCode]:
     """All c^n * n! colored codes in lexicographic order, last entry fastest."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     ranges = (range(c * i) for i in range(1, n + 1))
     return (ColoredLehmerCode(c, entries) for entries in product(*ranges))

@@ -20,8 +20,8 @@ from .counting import (
     total_inversions_ratio,
     total_inversions_recurrence,
 )
-from .perm import ColoredPermutation
-from .stats import StatisticKind, inv, max_inv_c, statistic_value
+from .perm import ColoredPermutation, check_group
+from .stats import StatisticKind, inv, max_inv_c, projection, statistic_value
 
 DEFAULT_CAP = 10**7
 DEFAULT_BUDGET = 10**6
@@ -43,18 +43,21 @@ class CapExceeded(Exception):
 
 
 def group_size(n: int, c: int) -> int:
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     return c**n * math.factorial(n)
+
+
+def _check_cap(n: int, c: int, cap: int) -> None:
+    """Raise CapExceeded when the group has more than `cap` elements."""
+    size = group_size(n, c)
+    if size > cap:
+        raise CapExceeded(size, cap)
 
 
 def enumerate_group(n: int, c: int, cap: int = DEFAULT_CAP) -> Iterator[ColoredPermutation]:
     """All elements of the group, underlying permutation in lexicographic
     order with the color vector counting in base c underneath."""
-    size = group_size(n, c)
-    if size > cap:
-        raise CapExceeded(size, cap)
-
+    _check_cap(n, c, cap)
     return (
         ColoredPermutation(c, values, colors)
         for values in permutations(range(1, n + 1))
@@ -85,14 +88,6 @@ class Distribution:
         return sum(k * v for k, v in self.histogram.items())
 
 
-_PROJECTIONS = {
-    StatisticKind.INV_C: lambda c, inv, col, cross: inv + col + c * cross,
-    StatisticKind.TILDE_INV_C: lambda c, inv, col, cross: c * inv + col,
-    StatisticKind.INV_UNDERLYING: lambda c, inv, col, cross: inv,
-    StatisticKind.COL: lambda c, inv, col, cross: col,
-}
-
-
 @dataclass(frozen=True)
 class _GroupScan:
     """Everything one exhaustive pass over the group can report.
@@ -107,7 +102,8 @@ class _GroupScan:
     joint: dict[ClassKind, dict[tuple[int, int, int], int]]
 
     def histogram(self, class_kind: ClassKind, statistic: StatisticKind) -> dict[int, int]:
-        project = _PROJECTIONS[statistic]
+        # bound once per call: a lookup per key made a cold distribution() sweep a third slower
+        project = projection(statistic)
         hist: dict[int, int] = {}
         for (inv, col, cross), count in self.joint[class_kind].items():
             k = project(self.c, inv, col, cross)
@@ -118,7 +114,7 @@ class _GroupScan:
         return sum(self.joint[class_kind].values())
 
     def inv_c_total(self, class_kind: ClassKind) -> int:
-        project = _PROJECTIONS[StatisticKind.INV_C]
+        project = projection(StatisticKind.INV_C)
         return sum(project(self.c, *key) * count for key, count in self.joint[class_kind].items())
 
     @property
@@ -155,9 +151,7 @@ def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
     adds the memoised keys of every suffix over that set to each of the
     prefix's keys, for suffixes of at most _TAIL_KEYS keys.
     """
-    size = group_size(n, c)
-    if size > cap:
-        raise CapExceeded(size, cap)
+    _check_cap(n, c, cap)
     pair_values = n * (n - 1) // 2 + 1  # inv and cross lie in 0..binom(n, 2)
     r_cross = n * (c - 1) + 1
     r_inv = r_cross * pair_values
@@ -290,9 +284,7 @@ def distribution(
 ) -> Distribution:
     class_kind = ClassKind(class_kind)
     statistic = StatisticKind(statistic)
-    size = group_size(n, c)
-    if size > cap:
-        raise CapExceeded(size, cap)
+    _check_cap(n, c, cap)
     hist = dict(_class_histograms(n, c)[class_kind, statistic])
     return Distribution(c, n, class_kind, statistic, hist, sum(hist.values()))
 
@@ -303,9 +295,7 @@ def code_sum_histogram(n: int, c: int, cap: int = DEFAULT_CAP) -> dict[int, int]
     The codes sharing their first n - 1 entries, of sum s, have the entry
     sums s, s + 1, ..., s + cn - 1, one each; that run is counted key by key.
     """
-    size = group_size(n, c)
-    if size > cap:
-        raise CapExceeded(size, cap)
+    _check_cap(n, c, cap)
     if not n:
         return {0: 1}
     hist: Counter[int] = Counter()

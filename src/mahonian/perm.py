@@ -14,6 +14,12 @@ from dataclasses import dataclass
 _TOKEN_RE = re.compile(r"(\d+)(?:\[(\d+)\])?\Z")
 
 
+def check_group(n: int, c: int) -> None:
+    """Reject a group Z_c wr S_n that does not exist, alike in every module."""
+    if n < 0 or c < 1:
+        raise ValueError("need n >= 0 and c >= 1")
+
+
 @dataclass(frozen=True, order=True)
 class ColoredElement:
     """A single letter v^[k] of the colored alphabet."""
@@ -51,11 +57,13 @@ class ColoredPermutation:
 
     @classmethod
     def identity(cls, c: int, n: int) -> "ColoredPermutation":
+        check_group(n, c)
         return cls(c, tuple(range(1, n + 1)), (0,) * n)
 
     @classmethod
     def maximal(cls, c: int, n: int) -> "ColoredPermutation":
         """The permutation 1^[c-1] 2^[c-1] ... n^[c-1] with the most colored inversions."""
+        check_group(n, c)
         return cls(c, tuple(range(1, n + 1)), (c - 1,) * n)
 
     @classmethod

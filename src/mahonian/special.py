@@ -11,12 +11,12 @@ import math
 from fractions import Fraction
 
 from .counting import binomial, com_bounded, exact_int
+from .perm import check_group
 
 
 def derangement_count(n: int, c: int) -> int:
     """Colored derangements: n! sum_k (-1)^k c^(n-k) / k!."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     fact = math.factorial(n)
     return sum(
         (-1) ** k * c ** (n - k) * (fact // math.factorial(k)) for k in range(n + 1)
@@ -25,8 +25,7 @@ def derangement_count(n: int, c: int) -> int:
 
 def derangement_count_recurrence(n: int, c: int) -> int:
     """Same count via d_{n+1} = (cn + c) d_n + (-1)^(n+1), seeded at d_0 = 1."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     d = 1
     for m in range(n):
         d = (c * m + c) * d + (-1) ** (m + 1)
@@ -52,8 +51,7 @@ def t_colored_terms(n: int, c: int) -> tuple[int, int, int, int]:
     contribution via bounded compositions; C1/C2: the c-weighted gated
     pair count split by whether the pair avoids the fixed points.
     """
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     fact = math.factorial(n)
 
     a_term = Fraction(fact, 12) * sum(
@@ -87,8 +85,7 @@ def t_colored(n: int, c: int) -> int:
 
 def involution_count(n: int, c: int) -> int:
     """Colored involutions by the closed-form sum over the number of fixed values."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     fixed_colors = 3 + (-1) ** c  # 4 when c is even, 2 when odd; halved below
     total = 0
     for k in range(n % 2, n + 1, 2):
@@ -103,8 +100,7 @@ def involution_count(n: int, c: int) -> int:
 
 def involution_count_recurrence(n: int, c: int) -> int:
     """Same count via r_{n+1} = a r_n + c n r_{n-1} with a = 2 for even c, 1 for odd."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     a = ((-1) ** c + 3) // 2
     prev, cur = 1, a  # r_0, r_1
     if n == 0:
@@ -131,8 +127,7 @@ def involution_inv_total_classical(n: int) -> int:
 
 def involution_inv_total(n: int, c: int) -> int:
     """Total of inv_c over all colored involutions of size n."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     e = (-1) ** c
     first = Fraction(n * c * (e + 1), 4) * _r(n - 1, c)
     rest = (

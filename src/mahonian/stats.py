@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .perm import ColoredPermutation
+from .perm import ColoredPermutation, check_group
 
 
 class StatisticKind(str, Enum):
@@ -13,6 +13,23 @@ class StatisticKind(str, Enum):
     TILDE_INV_C = "tilde_inv_c"
     INV_UNDERLYING = "inv"
     COL = "col"
+
+
+# The definition of every statistic from the color count c and three counts of
+# a colored permutation sigma: inv(|sigma|), col(sigma) and cross(sigma) (see
+# cross_term). The window functions below and the oracle's group scan share it.
+_PROJECTIONS = {
+    StatisticKind.INV_C: lambda c, inv, col, cross: inv + col + c * cross,
+    StatisticKind.TILDE_INV_C: lambda c, inv, col, cross: c * inv + col,
+    StatisticKind.INV_UNDERLYING: lambda c, inv, col, cross: inv,
+    StatisticKind.COL: lambda c, inv, col, cross: col,
+}
+
+
+def projection(kind: StatisticKind | str) -> Callable[[int, int, int, int], int]:
+    """The statistic as a function of (c, inv, col, cross); a name that is no
+    StatisticKind raises ValueError."""
+    return _PROJECTIONS[StatisticKind(kind)]
 
 
 def inv(pi: Sequence[int]) -> int:
@@ -45,29 +62,21 @@ def cross_term(sigma: ColoredPermutation) -> int:
 def inv_c(sigma: ColoredPermutation) -> int:
     """Colored inversion number: inv of the underlying permutation, plus the
     color sum, plus c times the gated non-inversion count."""
-    return inv(sigma.values) + col(sigma) + sigma.c * cross_term(sigma)
+    return statistic_value(StatisticKind.INV_C, sigma)
 
 
 def tilde_inv_c(sigma: ColoredPermutation) -> int:
     """The companion statistic c*inv(|sigma|) + col(sigma), equidistributed
     with inv_c over the whole group."""
-    return sigma.c * inv(sigma.values) + col(sigma)
+    return statistic_value(StatisticKind.TILDE_INV_C, sigma)
 
 
 def max_inv_c(n: int, c: int) -> int:
     """Largest attainable inv_c value: (c-1)n + c*binom(n, 2)."""
-    if n < 0 or c < 1:
-        raise ValueError("need n >= 0 and c >= 1")
+    check_group(n, c)
     return (c - 1) * n + c * (n * (n - 1) // 2)
 
 
-def statistic_value(kind: StatisticKind, sigma: ColoredPermutation) -> int:
-    if kind is StatisticKind.INV_C:
-        return inv_c(sigma)
-    if kind is StatisticKind.TILDE_INV_C:
-        return tilde_inv_c(sigma)
-    if kind is StatisticKind.INV_UNDERLYING:
-        return inv(sigma.values)
-    if kind is StatisticKind.COL:
-        return col(sigma)
-    raise ValueError(f"unknown statistic {kind!r}")
+def statistic_value(kind: StatisticKind | str, sigma: ColoredPermutation) -> int:
+    """The statistic of one window, projected from its three counts."""
+    return projection(kind)(sigma.c, inv(sigma.values), col(sigma), cross_term(sigma))

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from mahonian import oracle
 from mahonian.cli import main
+from mahonian.counting import MahonianMethod, i_colored_row
+from mahonian.stats import max_inv_c
 
 
 def run(capsys, *argv):
@@ -79,6 +81,28 @@ class TestSeq:
         )
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("method", [m.value for m in MahonianMethod])
+    def test_every_cell_through_k(self, capsys, method):
+        """--k prints the cell of the row, 0 past its end, for every engine;
+        knuth_netto answers k <= n only and exits 3 with no output above."""
+        for c in (1, 2):
+            for n in range(5):
+                row = i_colored_row(n, c)
+                top = n if method == "knuth_netto" else max_inv_c(n, c) + 1
+                for k in range(top + 1):
+                    code, out, _ = run(
+                        capsys, "seq", "--name", "ic", "--c", str(c), "--n-max", str(n),
+                        "--k", str(k), "--method", method,
+                    )
+                    assert (code, out) == (0, f"{k},{row[k] if k < len(row) else 0}\n")
+                if method == "knuth_netto":
+                    code, out, err = run(
+                        capsys, "seq", "--name", "ic", "--c", str(c), "--n-max", str(n),
+                        "--k", str(n + 1), "--method", method,
+                    )
+                    assert (code, out) == (3, "")
+                    assert err.startswith("error:")
 
     def test_totals_sequence(self, capsys):
         code, out, _ = run(capsys, "seq", "--name", "I", "--c", "2", "--n-max", "3")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahonian import ColoredElement, ColoredPermutation
+from mahonian import ColoredElement, ColoredPermutation, counting, lehmer, oracle, special, stats
+from mahonian.counting import MahonianMethod
 from mahonian.oracle import enumerate_group, group_size
 
 
@@ -198,6 +199,47 @@ class TestGroupSize:
         elems = list(enumerate_group(n, c))
         assert len(elems) == group_size(n, c)
         assert len(set(elems)) == len(elems)
+
+
+# Every public function of a group (n, c), called as f(n, c).
+_GROUP_FUNCTIONS = {
+    "gf_colored": counting.gf_colored,
+    "i_colored_row": counting.i_colored_row,
+    **{
+        f"i_colored[{m.value}]": lambda n, c, m=m: counting.i_colored(n, 0, c, m)
+        for m in MahonianMethod
+    },
+    "total_inversions_closed": counting.total_inversions_closed,
+    "total_inversions_recurrence": counting.total_inversions_recurrence,
+    "total_inversions_ratio": counting.total_inversions_ratio,
+    "derangement_count": special.derangement_count,
+    "derangement_count_recurrence": special.derangement_count_recurrence,
+    "t_colored": special.t_colored,
+    "t_colored_terms": special.t_colored_terms,
+    "involution_count": special.involution_count,
+    "involution_count_recurrence": special.involution_count_recurrence,
+    "involution_inv_total": special.involution_inv_total,
+    "group_size": oracle.group_size,
+    "max_inv_c": stats.max_inv_c,
+    "iter_codes": lehmer.iter_codes,
+    "enumerate_group": oracle.enumerate_group,
+    "scan_group": oracle.scan_group,
+    "code_sum_histogram": oracle.code_sum_histogram,
+    "distribution": oracle.distribution,
+    "lehmer_round_trips": oracle.lehmer_round_trips,
+    "identity": lambda n, c: ColoredPermutation.identity(c, n),
+    "maximal": lambda n, c: ColoredPermutation.maximal(c, n),
+}
+
+
+@pytest.mark.parametrize("n,c", [(-1, 2), (2, 0)], ids=["n=-1", "c=0"])
+@pytest.mark.parametrize("function", _GROUP_FUNCTIONS.values(), ids=_GROUP_FUNCTIONS)
+def test_every_group_function_rejects_a_bad_group_alike(function, n, c):
+    """Raised at call time, also by the functions that return generators."""
+    with pytest.raises(ValueError) as info:
+        function(n, c)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "need n >= 0 and c >= 1"
 
 
 @st.composite

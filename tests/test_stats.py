@@ -15,6 +15,7 @@ from mahonian import (
 )
 from mahonian.lehmer import encode
 from mahonian.oracle import enumerate_group
+from mahonian.stats import StatisticKind, statistic_value
 
 
 def parse(text, c):
@@ -109,3 +110,16 @@ def test_c2_n3_distribution_matches_table():
 def test_n0_statistics_vanish():
     empty = ColoredPermutation.identity(3, 0)
     assert inv_c(empty) == tilde_inv_c(empty) == col(empty) == cross_term(empty) == 0
+
+
+def test_statistic_value_takes_names():
+    sigma = parse("3[1] 2 1[2] 4[1]", 3)
+    assert statistic_value("inv_c", sigma) == inv_c(sigma) == 16
+    assert statistic_value("tilde_inv_c", sigma) == tilde_inv_c(sigma) == 3 * 3 + 4
+    assert statistic_value("inv", sigma) == 3
+    assert statistic_value("col", sigma) == 4
+    assert [statistic_value(kind.value, sigma) for kind in StatisticKind] == [
+        statistic_value(kind, sigma) for kind in StatisticKind
+    ]
+    with pytest.raises(ValueError):
+        statistic_value("maj", sigma)
