@@ -48,8 +48,7 @@ class ColoredLehmerCode(_Code):
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"number of colors must be >= 1, got {self.c}")
+        check_group(len(self.entries), self.c)
         self._check(self.c)
 
 

@@ -8,7 +8,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterator
 
 from . import lehmer, special, tables
@@ -122,11 +122,6 @@ class _GroupScan:
         return self.count(ClassKind.ALL)
 
 
-# Element keys are counted in batches of about this many: one Counter update
-# per permutation made the c = 1 scans about a fifth slower. Kept small, as
-# the batch is most of the scan's memory.
-_FLUSH = 1 << 10
-
 # Largest key count L! c^L of a memoised suffix of L positions in scan_group.
 # Bounds from 24 to 1024 scanned equally fast; 24 keeps the memo smallest.
 _TAIL_KEYS = 24
@@ -147,9 +142,11 @@ def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
 
     Every step's key depends only on the set of values still unused (j is
     n minus its size, a and the fixed-point test follow from v and its
-    rank), so once a prefix cannot be an involution the walk stops and
-    adds the memoised keys of every suffix over that set to each of the
-    prefix's keys, for suffixes of at most _TAIL_KEYS keys.
+    rank), so the walk stops at the last positions and adds the memoised
+    keys of every suffix over that set to each of the prefix's keys: at
+    least one position, and more while a suffix has at most _TAIL_KEYS
+    keys. The involutions are counted apart, from every way of fixing or
+    pairing the values of a window.
     """
     _check_cap(n, c, cap)
     pair_values = n * (n - 1) // 2 + 1  # inv and cross lie in 0..binom(n, 2)
@@ -168,35 +165,8 @@ def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
     ]
     everything: Counter[int] = Counter()
     involutions: Counter[int] = Counter()
-    pending: list[int] = []
-    values = [0] * n
-    asc = [0] * n
 
-    def involution_keys() -> list[int]:
-        """Keys of the colorings of an underlying involution that make an
-        involution: 2k = 0 (mod c) on a fixed value, k + k' = 0 (mod c) on
-        a 2-cycle."""
-        keys = [r_inv * sum(j - a for j, a in enumerate(asc))]
-        for i, v in enumerate(values):
-            if v == i + 1:
-                a = asc[i]
-                colorings = [
-                    k + (r_cross * a if k else 0) for k in range(c) if 2 * k % c == 0
-                ]
-            elif v > i + 1:
-                a, b = asc[i], asc[v - 1]
-                colorings = [
-                    k + kk + r_cross * (a * (k > 0) + b * (kk > 0))
-                    for k in range(c)
-                    for kk in range(c)
-                    if (k + kk) % c == 0
-                ]
-            else:
-                continue
-            keys = [key + s for s in colorings for key in keys]
-        return keys
-
-    tail_max = 0  # longest suffix whose keys are memoised
+    tail_max = min(n, 1)  # longest suffix whose keys are memoised
     while tail_max < n and math.factorial(tail_max + 1) * c ** (tail_max + 1) <= _TAIL_KEYS:
         tail_max += 1
     tails: dict[tuple[int, ...], list[int]] = {(): [0]}
@@ -214,34 +184,46 @@ def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
             tails[unused] = keys
         return keys
 
-    def extend(j: int, unused: list[int], keys: list[int], involutive: bool) -> None:
-        if not involutive and n - j <= tail_max:
-            pending.extend([key + t for t in tail_keys(tuple(unused)) for key in keys])
+    def extend(j: int, unused: list[int], keys: list[int]) -> None:
+        if n - j <= tail_max:
+            everything.update([key + t for t in tail_keys(tuple(unused)) for key in keys])
             return
         free, fixed = steps[0][j], steps[1][j]
         for r, v in enumerate(unused):
-            a = v - 1 - r
-            values[j] = v
-            asc[j] = a
-            grown = [key + s for s in (fixed if v == j + 1 else free)[a] for key in keys]
-            # position j+1 mapping below itself must close a 2-cycle
-            still_involutive = involutive and (v > j or values[v - 1] == j + 1)
-            if j + 1 < n:
-                extend(j + 1, unused[:r] + unused[r + 1:], grown, still_involutive)
-                continue
-            pending.extend(grown)
-            if still_involutive:
-                involutions.update(involution_keys())
-        if len(pending) >= _FLUSH:
-            everything.update(pending)
-            pending.clear()
+            step = (fixed if v == j + 1 else free)[v - 1 - r]
+            extend(j + 1, unused[:r] + unused[r + 1:], [key + s for s in step for key in keys])
 
-    if n:
-        extend(0, list(range(1, n + 1)), [0], True)
-    else:  # the empty window: one element, a derangement and an involution
-        pending.append(0)
-        involutions[0] = 1
-    everything.update(pending)
+    w = [0] * n  # the underlying involution, 0 on the positions still open
+
+    def pair_up() -> None:
+        """Fix or pair the first open position of w in every way; at a full
+        window count its colorings that make an involution: 2k = 0 (mod c)
+        on a fixed value, colors k and -k (mod c) on a 2-cycle."""
+        if 0 in w:
+            i = w.index(0)
+            for p in range(i, n):
+                if not w[p]:
+                    w[i], w[p] = p + 1, i + 1
+                    pair_up()
+                    w[i] = w[p] = 0
+            return
+        asc = [sum(u < v for u in w[:j]) for j, v in enumerate(w)]
+        keys = [r_inv * sum(j - a for j, a in enumerate(asc))]
+        for i, v in enumerate(w):
+            a, b = asc[i], asc[v - 1]
+            if v == i + 1:
+                colorings = [k + r_cross * a * (k > 0) for k in range(c) if 2 * k % c == 0]
+            elif v > i + 1:
+                colorings = [k + kk + r_cross * (a * (k > 0) + b * (kk > 0))
+                             for k in range(c) for kk in [(-k) % c]]
+            else:
+                continue
+            keys = [key + s for s in colorings for key in keys]
+        involutions.update(keys)
+
+    extend(0, list(range(1, n + 1)), [0])
+    pair_up()
+    del tail_keys, extend, pair_up  # each refers to itself: free the walk on return, not at a gc
 
     def unpack(counts: Counter[int], zero_free_only: bool) -> dict[tuple[int, int, int], int]:
         joint: dict[tuple[int, int, int], int] = {}
@@ -262,17 +244,17 @@ def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
     })
 
 
-# Groups whose class x statistic histograms distribution() keeps, so that
-# asking for another class or statistic of a group does not scan it again.
+# Groups whose class x statistic histograms distribution() keeps, so that asking
+# for another class or statistic does not scan again: only those whose statistics
+# span at most _MEMO_WIDTH values, above the 97 of the widest verified, (c, n) = (10, 4).
 _MEMO_GROUPS = 32
+_MEMO_WIDTH = 128
 
 
 @functools.lru_cache(maxsize=_MEMO_GROUPS)
 def _class_histograms(n: int, c: int) -> dict[tuple[ClassKind, StatisticKind], dict[int, int]]:
     scan = scan_group(n, c, cap=group_size(n, c))
-    return {
-        (kind, stat): scan.histogram(kind, stat) for kind in ClassKind for stat in StatisticKind
-    }
+    return {(kind, st): scan.histogram(kind, st) for kind in ClassKind for st in StatisticKind}
 
 
 def distribution(
@@ -285,7 +267,10 @@ def distribution(
     class_kind = ClassKind(class_kind)
     statistic = StatisticKind(statistic)
     _check_cap(n, c, cap)
-    hist = dict(_class_histograms(n, c)[class_kind, statistic])
+    if max_inv_c(n, c) < _MEMO_WIDTH:
+        hist = dict(_class_histograms(n, c)[class_kind, statistic])
+    else:  # too wide to keep: scan again and project only what is asked for
+        hist = scan_group(n, c, cap=group_size(n, c)).histogram(class_kind, statistic)
     return Distribution(c, n, class_kind, statistic, hist, sum(hist.values()))
 
 
@@ -298,16 +283,8 @@ def code_sum_histogram(n: int, c: int, cap: int = DEFAULT_CAP) -> dict[int, int]
     _check_cap(n, c, cap)
     if not n:
         return {0: 1}
-    hist: Counter[int] = Counter()
-    pending: list[int] = []
-    for prefix in product(*(range(c * i) for i in range(1, n))):
-        s = sum(prefix)
-        pending.extend(range(s, s + c * n))
-        if len(pending) >= _FLUSH:
-            hist.update(pending)
-            pending.clear()
-    hist.update(pending)
-    return dict(hist)
+    sums = map(sum, product(*(range(c * i) for i in range(1, n))))
+    return dict(Counter(chain.from_iterable(range(s, s + c * n) for s in sums)))
 
 
 def lehmer_round_trips(n: int, c: int) -> int:

@@ -40,9 +40,8 @@ class ColoredPermutation:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "colors", tuple(self.colors))
-        if self.c < 1:
-            raise ValueError(f"number of colors must be >= 1, got {self.c}")
         n = len(self.values)
+        check_group(n, self.c)
         if len(self.colors) != n:
             raise ValueError("values and colors must have equal length")
         if sorted(self.values) != list(range(1, n + 1)):

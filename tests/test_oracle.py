@@ -47,7 +47,10 @@ class TestEnumeration:
 
 class TestScan:
     @pytest.mark.parametrize(
-        "c,n", [(1, 0), (1, 1), (1, 5), (1, 7), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2)]
+        "c,n",
+        [(1, 0), (1, 1), (1, 5), (1, 7), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2)]
+        # even and odd c for the colors k, -k (mod c) of a 2-cycle; one memoised position
+        + [(6, 3), (7, 3), (25, 2), (60, 1)],
     )
     def test_matches_slow_path(self, c, n, scan):
         s = scan(c, n)
@@ -71,7 +74,7 @@ class TestScan:
             inv_c(x) for x in elems if x.is_involution()
         )
 
-    @pytest.mark.parametrize("c,n", [(1, 8), (2, 6), (4, 4)])
+    @pytest.mark.parametrize("c,n", [(1, 8), (2, 6), (4, 4), (25, 2)])
     def test_memoised_suffixes_match_the_explicit_walk(self, c, n, monkeypatch):
         memoised = scan_group(n, c).joint
         monkeypatch.setattr(oracle, "_TAIL_KEYS", 0)
@@ -129,6 +132,11 @@ class TestDistribution:
         again = distribution(3, 2, ClassKind.DERANGEMENTS, StatisticKind.COL)
         assert again.histogram == expected
         assert again.histogram is not first.histogram
+
+    def test_wide_group_is_not_memoised(self):
+        oracle._class_histograms.cache_clear()  # a full memo would hide an insertion
+        assert distribution(1, 5000).histogram == {k: 1 for k in range(5000)}
+        assert oracle._class_histograms.cache_info().currsize == 0
 
     def test_cap_checked_after_an_earlier_call(self):
         distribution(3, 3)

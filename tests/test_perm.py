@@ -232,8 +232,22 @@ _GROUP_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("n,c", [(-1, 2), (2, 0)], ids=["n=-1", "c=0"])
-@pytest.mark.parametrize("function", _GROUP_FUNCTIONS.values(), ids=_GROUP_FUNCTIONS)
+# Constructors read n off their tuples, so only a bad c reaches them.
+_CONSTRUCTORS = {
+    "ColoredPermutation": lambda n, c: ColoredPermutation(c, (), ()),
+    "ColoredLehmerCode": lambda n, c: lehmer.ColoredLehmerCode(c, ()),
+}
+
+
+@pytest.mark.parametrize(
+    "function,n,c",
+    [
+        pytest.param(function, n, c, id=f"{name}-{bad}")
+        for name, function in _GROUP_FUNCTIONS.items()
+        for bad, (n, c) in {"c=0": (2, 0), "n=-1": (-1, 2)}.items()
+    ]
+    + [pytest.param(function, 0, 0, id=f"{name}-c=0") for name, function in _CONSTRUCTORS.items()],
+)
 def test_every_group_function_rejects_a_bad_group_alike(function, n, c):
     """Raised at call time, also by the functions that return generators."""
     with pytest.raises(ValueError) as info:
