@@ -8,7 +8,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Iterator
 
 from . import lehmer, special, tables
@@ -122,31 +122,25 @@ class _GroupScan:
         return self.count(ClassKind.ALL)
 
 
-# Largest key count L! c^L of a memoised suffix of L positions in scan_group.
-# Bounds from 24 to 1024 scanned equally fast; 24 keeps the memo smallest.
-_TAIL_KEYS = 24
-
-
 def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
     """One pass over the whole group, counting every element into the
     joint (inv, col, cross) histogram of each class it belongs to.
 
-    A depth-first walk appends values left to right. A value v placed at
-    position j as the r-th smallest unused value has a = v - 1 - r smaller
-    values before it and j - a larger ones, so inv(|sigma|) and the ascent
-    count a = #{i < j : sigma_i < sigma_j} cost O(1) per step. The color
-    vectors grow with the prefix: color k > 0 at that position adds k to
-    col and a to cross. Each element is one int key packing, in mixed
-    radix, col, cross, inv and its number of fixed points of color 0,
-    which is 0 exactly on derangements.
+    Placing value v at position j as the r-th smallest unused value leaves
+    a = v - 1 - r smaller values before it and j - a larger ones, so it
+    adds j - a to inv(|sigma|), and color k > 0 there adds k to col and
+    the ascent count a = #{i < j : sigma_i < sigma_j} to cross. Each
+    element is one int key packing, in mixed radix, col, cross, inv and
+    its number of fixed points of color 0, which is 0 exactly on
+    derangements.
 
-    Every step's key depends only on the set of values still unused (j is
-    n minus its size, a and the fixed-point test follow from v and its
-    rank), so the walk stops at the last positions and adds the memoised
-    keys of every suffix over that set to each of the prefix's keys: at
-    least one position, and more while a suffix has at most _TAIL_KEYS
-    keys. The involutions are counted apart, from every way of fixing or
-    pairing the values of a window.
+    A step's key depends only on the set of values still unused (j is n
+    minus its size), so the count runs bottom-up over those sets: the key
+    histogram of every colored arrangement of a set U in the last |U|
+    positions adds, for each v in U, the histogram of U without v shifted
+    by each key of placing v first. Each element is one path through the
+    levels, and the counts add. The involutions are counted apart, from
+    every way of fixing or pairing the values of a window.
     """
     _check_cap(n, c, cap)
     pair_values = n * (n - 1) // 2 + 1  # inv and cross lie in 0..binom(n, 2)
@@ -163,35 +157,22 @@ def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
         ]
         for fixed in (0, 1)
     ]
-    everything: Counter[int] = Counter()
     involutions: Counter[int] = Counter()
 
-    tail_max = min(n, 1)  # longest suffix whose keys are memoised
-    while tail_max < n and math.factorial(tail_max + 1) * c ** (tail_max + 1) <= _TAIL_KEYS:
-        tail_max += 1
-    tails: dict[tuple[int, ...], list[int]] = {(): [0]}
-
-    def tail_keys(unused: tuple[int, ...]) -> list[int]:
-        """Key sums of every colored arrangement of `unused` in the last
-        len(unused) positions."""
-        keys = tails.get(unused)
-        if keys is None:
-            j = n - len(unused)
-            keys = []
+    below: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}  # the level of sets one smaller
+    for size in range(1, n + 1):
+        j = n - size
+        level = {}
+        for unused in combinations(range(1, n + 1), size):
+            hist: dict[int, int] = {}
             for r, v in enumerate(unused):
                 step = steps[v == j + 1][j][v - 1 - r]
-                keys += [s + t for t in tail_keys(unused[:r] + unused[r + 1:]) for s in step]
-            tails[unused] = keys
-        return keys
-
-    def extend(j: int, unused: list[int], keys: list[int]) -> None:
-        if n - j <= tail_max:
-            everything.update([key + t for t in tail_keys(tuple(unused)) for key in keys])
-            return
-        free, fixed = steps[0][j], steps[1][j]
-        for r, v in enumerate(unused):
-            step = (fixed if v == j + 1 else free)[v - 1 - r]
-            extend(j + 1, unused[:r] + unused[r + 1:], [key + s for s in step for key in keys])
+                for t, count in below[unused[:r] + unused[r + 1:]].items():
+                    for s in step:
+                        hist[s + t] = hist.get(s + t, 0) + count
+            level[unused] = hist
+        below = level
+    everything = below[tuple(range(1, n + 1))]
 
     w = [0] * n  # the underlying involution, 0 on the positions still open
 
@@ -221,11 +202,10 @@ def scan_group(n: int, c: int, cap: int = DEFAULT_CAP) -> _GroupScan:
             keys = [key + s for s in colorings for key in keys]
         involutions.update(keys)
 
-    extend(0, list(range(1, n + 1)), [0])
     pair_up()
-    del tail_keys, extend, pair_up  # each refers to itself: free the walk on return, not at a gc
+    del pair_up  # it refers to itself: free it on return, not at a gc
 
-    def unpack(counts: Counter[int], zero_free_only: bool) -> dict[tuple[int, int, int], int]:
+    def unpack(counts: dict[int, int], zero_free_only: bool) -> dict[tuple[int, int, int], int]:
         joint: dict[tuple[int, int, int], int] = {}
         for key, count in counts.items():
             zero_fixed, rest = divmod(key, r_zero)

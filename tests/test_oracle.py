@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -45,18 +46,30 @@ class TestEnumeration:
                          "2 1", "2 1[1]", "2[1] 1", "2[1] 1[1]"]
 
 
+_IN_CLASS = {
+    ClassKind.ALL: lambda x: True,
+    ClassKind.DERANGEMENTS: lambda x: x.is_derangement(),
+    ClassKind.INVOLUTIONS: lambda x: x.is_involution(),
+}
+
+
 class TestScan:
     @pytest.mark.parametrize(
         "c,n",
-        [(1, 0), (1, 1), (1, 5), (1, 7), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2)]
-        # even and odd c for the colors k, -k (mod c) of a 2-cycle; one memoised position
+        [(1, 0), (1, 1), (1, 5), (1, 7), (2, 4), (2, 5), (3, 3), (3, 4), (4, 4), (5, 2)]
+        # even and odd c for the colors k, -k (mod c) of a 2-cycle; one or two positions
         + [(6, 3), (7, 3), (25, 2), (60, 1)],
     )
     def test_matches_slow_path(self, c, n, scan):
         s = scan(c, n)
         elems = list(enumerate_group(n, c))
         assert s.size == len(elems)
-        from mahonian import inv, inv_c, tilde_inv_c
+        from mahonian import cross_term, inv, inv_c, tilde_inv_c
+
+        for kind, keep in _IN_CLASS.items():
+            assert s.joint[kind] == Counter(
+                (inv(x.values), sum(x.colors), cross_term(x)) for x in elems if keep(x)
+            ), kind
 
         def hist(statistic):
             return s.histogram(ClassKind.ALL, statistic)
@@ -74,11 +87,16 @@ class TestScan:
             inv_c(x) for x in elems if x.is_involution()
         )
 
-    @pytest.mark.parametrize("c,n", [(1, 8), (2, 6), (4, 4), (25, 2)])
-    def test_memoised_suffixes_match_the_explicit_walk(self, c, n, monkeypatch):
-        memoised = scan_group(n, c).joint
-        monkeypatch.setattr(oracle, "_TAIL_KEYS", 0)
-        assert scan_group(n, c).joint == memoised
+    def test_few_positions_and_many_colors_stay_small(self):
+        # the joint histogram of (3, 40) has 900 keys; its 384,000 elements
+        # must not be held one key each
+        tracemalloc.start()
+        try:
+            scan_group(3, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_needs_no_formula(self, monkeypatch):
         """The scan, distribution() and code_sum_histogram reach no
@@ -106,11 +124,7 @@ class TestScan:
 
 def _literal_histogram(n, c, kind, stat):
     """Count of each statistic value over the class, element by element."""
-    keep = {
-        ClassKind.ALL: lambda x: True,
-        ClassKind.DERANGEMENTS: lambda x: x.is_derangement(),
-        ClassKind.INVOLUTIONS: lambda x: x.is_involution(),
-    }[kind]
+    keep = _IN_CLASS[kind]
     return dict(Counter(statistic_value(stat, x) for x in enumerate_group(n, c) if keep(x)))
 
 
