@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .perm import check_group
-from .qpoly import QPolynomial, q_integer
+from .qpoly import QPolynomial, times_q_integer
 from .stats import max_inv_c
 
 
@@ -46,10 +46,10 @@ def binomial(a: int, b: int) -> int:
 def gf_colored(n: int, c: int) -> QPolynomial:
     """The product [c]_q [2c]_q ... [nc]_q; coefficient of q^k is i_c(n, k)."""
     check_group(n, c)
-    poly = QPolynomial.one()
+    row = [1]
     for i in range(1, n + 1):
-        poly = poly * q_integer(c * i)
-    return poly
+        row = times_q_integer(row, c * i)
+    return QPolynomial(row)
 
 
 def i_classical(n: int, k: int) -> int:
@@ -160,11 +160,15 @@ def _row_partition_conv(n: int, c: int) -> list[int]:
     ]
 
 
+def _check_composition(parts: int, total: int, c: int) -> None:
+    if parts < 0 or total < 0 or c < 1:
+        raise ValueError("need parts, total >= 0 and c >= 1")
+
+
 def com_bounded(parts: int, total: int, c: int) -> int:
     """Compositions of total into `parts` non-negative parts, each < c,
     by inclusion-exclusion over parts that overflow."""
-    if parts < 0 or total < 0 or c < 1:
-        raise ValueError("need parts, total >= 0 and c >= 1")
+    _check_composition(parts, total, c)
     if parts == 0:
         return 1 if total == 0 else 0
     return sum(
@@ -175,6 +179,7 @@ def com_bounded(parts: int, total: int, c: int) -> int:
 
 def com_bounded_dp(parts: int, total: int, c: int) -> int:
     """Direct dynamic-programming count of the same compositions."""
+    _check_composition(parts, total, c)
     counts = [0] * (total + 1)
     counts[0] = 1
     for _ in range(parts):

@@ -1,8 +1,8 @@
 """Dense exact-integer polynomials in q.
 
 Coefficients are stored lowest degree first with no trailing zeros; the
-zero polynomial is the empty tuple.  Degrees stay small (a few hundred),
-so multiplication is plain convolution.
+zero polynomial is the empty tuple.  General multiplication is plain
+convolution; a product by one q-integer has its own near-linear routine.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ class QPolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _normalize(tuple(self.coefficients)))
-
-    @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls((1,))
 
     @property
     def degree(self) -> int:
@@ -58,3 +54,23 @@ def q_integer(m: int) -> QPolynomial:
     if m < 0:
         raise ValueError("need m >= 0")
     return QPolynomial((1,) * m)
+
+
+def times_q_integer(row: list[int], m: int) -> list[int]:
+    """The coefficients of row * [m]_q, by doubling from [1]_q along the bits
+    of m: [2k]_q = (1 + q^k) [k]_q and [2k+1]_q = 1 + q [2k]_q.
+
+    Each step is one shifted addition, so the cost is O(len(row) log m).
+    """
+    if m < 0:
+        raise ValueError("need m >= 0")
+    if m == 0:
+        return []
+    acc, k = row, 1  # acc = row * [k]_q
+    for bit in bin(m)[3:]:
+        acc = [x + y for x, y in zip(acc + [0] * k, [0] * k + acc)]
+        k *= 2
+        if bit == "1":
+            acc = [x + y for x, y in zip(row + [0] * k, [0] + acc)]
+            k += 1
+    return list(acc)

@@ -1,8 +1,9 @@
 """Counts and inversion grand totals for colored derangements and involutions.
 
 The alternating sums below involve divisions by 12, 2, and 6 that are
-only exact after the whole sum is assembled, so intermediate values are
-held as Fractions and integrality is checked at the end.
+only exact after the whole sum is assembled.  Each sum is therefore kept
+in integers (n!/k! is exact), and a Fraction appears only in the final
+division, whose integrality is checked.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .counting import binomial, com_bounded, exact_int
+from .counting import binomial, exact_int
 from .perm import check_group
+from .qpoly import times_q_integer
 
 
 def derangement_count(n: int, c: int) -> int:
@@ -38,10 +40,23 @@ def t_classical(n: int) -> int:
         raise ValueError("need n >= 0")
     fact = math.factorial(n)
     total = sum(
-        Fraction((-1) ** k * (3 * n + k) * (n - k - 1), math.factorial(k))
+        (-1) ** k * (3 * n + k) * (n - k - 1) * (fact // math.factorial(k))
         for k in range(n)
     )
-    return exact_int(Fraction(fact, 12) * total)
+    return exact_int(Fraction(total, 12))
+
+
+def composition_moments(n: int, c: int) -> list[int]:
+    """M(m) = sum_i i * com(m, i, c) for m = 0..n.
+
+    com(m, i, c) counts compositions of i into m parts, each < c: the
+    coefficients of [c]_q^m.  One row of them gains a part per step.
+    """
+    row, moments = [1], [0]
+    for _ in range(n):
+        row = times_q_integer(row, c)
+        moments.append(sum(i * ways for i, ways in enumerate(row)))
+    return moments
 
 
 def t_colored_terms(n: int, c: int) -> tuple[int, int, int, int]:
@@ -52,30 +67,30 @@ def t_colored_terms(n: int, c: int) -> tuple[int, int, int, int]:
     pair count split by whether the pair avoids the fixed points.
     """
     check_group(n, c)
-    fact = math.factorial(n)
+    fact = [1]
+    for i in range(1, n + 1):
+        fact.append(fact[-1] * i)
+    ratio = [fact[n] // f for f in fact]  # n!/k!
+    moments = composition_moments(n, c)
 
-    a_term = Fraction(fact, 12) * sum(
-        Fraction((-1) ** k * c ** (n - k) * (n - k - 1) * (3 * n + k), math.factorial(k))
-        for k in range(n)
+    a_sum = sum(
+        (-1) ** k * c ** (n - k) * (n - k - 1) * (3 * n + k) * ratio[k] for k in range(n)
+    )
+    b_term = sum((-1) ** k * ratio[k] * moments[n - k] for k in range(n + 1))
+    c1_sum = (c - 1) * sum(
+        (-1) ** k * c ** (n - k) * binomial(n - k, 2) * ratio[k] for k in range(n + 1)
+    )
+    # n!/(k-1)! = k * n!/k!
+    c2_sum = (c - 1) * sum(
+        (-1) ** k * c ** (n - k) * (2 * (n - k) + 1) * k * ratio[k] for k in range(1, n)
     )
 
-    b_term = fact * sum(
-        Fraction((-1) ** k, math.factorial(k))
-        * sum(i * com_bounded(n - k, i, c) for i in range((n - k) * (c - 1) + 1))
-        for k in range(n + 1)
+    return (
+        exact_int(Fraction(a_sum, 12)),
+        b_term,
+        exact_int(Fraction(c1_sum, 2)),
+        exact_int(Fraction(c2_sum, 6)),
     )
-
-    c1_term = Fraction(fact * (c - 1), 2) * sum(
-        Fraction((-1) ** k * c ** (n - k) * binomial(n - k, 2), math.factorial(k))
-        for k in range(n + 1)
-    )
-
-    c2_term = Fraction(fact * (c - 1), 6) * sum(
-        Fraction((-1) ** k * c ** (n - k) * (2 * (n - k) + 1), math.factorial(k - 1))
-        for k in range(1, n)
-    )
-
-    return exact_int(a_term), exact_int(b_term), exact_int(c1_term), exact_int(c2_term)
 
 
 def t_colored(n: int, c: int) -> int:

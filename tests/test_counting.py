@@ -24,7 +24,7 @@ from mahonian.counting import (
     i_colored_knuth_netto,
     total_inversions_ratio,
 )
-from mahonian.qpoly import q_integer
+from mahonian.qpoly import QPolynomial, q_integer, times_q_integer
 
 ALL_METHODS = list(MahonianMethod)
 
@@ -66,6 +66,23 @@ class TestGeneratingFunction:
                 p = gf_colored(n, c)
                 assert p.degree == max_inv_c(n, c)
                 assert p.total() == c**n * _fact(n)
+
+    def test_doubling_product_matches_convolution(self):
+        for c in range(1, 5):
+            poly = QPolynomial((1,))
+            for n in range(13):
+                if n:
+                    poly = poly * q_integer(c * n)
+                assert gf_colored(n, c) == poly, (c, n)
+
+    def test_times_q_integer_every_parity(self):
+        # m = 0..64 takes both doubling steps and reaches 2^j - 1 and 2^j + 1
+        row = [3, 1, 4, 1, 5, 9, 2, 6]
+        for m in range(65):
+            expected = QPolynomial(tuple(row)) * q_integer(m)
+            assert times_q_integer(row, m) == list(expected.coefficients), m
+        with pytest.raises(ValueError):
+            times_q_integer(row, -1)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -203,6 +220,12 @@ class TestBoundedCounts:
                     assert com_bounded(parts, total, c) == com_bounded_dp(
                         parts, total, c
                     )
+
+    @pytest.mark.parametrize("args", [(1, -1, 2), (-1, 0, 2), (2, 1, 0)])
+    def test_com_bounded_rejects_bad_args(self, args):
+        for count in (com_bounded, com_bounded_dp):
+            with pytest.raises(ValueError, match=r"^need parts, total >= 0 and c >= 1$"):
+                count(*args)
 
     @settings(max_examples=150)
     @given(

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,9 @@ from mahonian import (
     t_colored,
     t_colored_terms,
 )
+from mahonian.counting import binomial, com_bounded
 from mahonian.oracle import enumerate_group
+from mahonian.special import composition_moments
 
 
 def brute(n, c, keep):
@@ -78,6 +82,44 @@ class TestDerangementInversionTotals:
                 assert all(isinstance(x, int) for x in terms)
                 assert sum(terms) == t_colored(n, c)
 
+    def test_terms_match_the_fraction_reference(self):
+        for c in range(1, 7):
+            for n in range(21):
+                assert t_colored_terms(n, c) == _t_colored_terms_reference(n, c), (c, n)
+
+    def test_composition_moments_closed_form(self):
+        # each of the c^m color vectors has mean color sum m(c-1)/2
+        for c in range(1, 7):
+            moments = composition_moments(12, c)
+            for m in range(13):
+                assert moments[m] == m * (c - 1) * c**m // 2, (c, m)
+
+
+def _t_colored_terms_reference(n, c):
+    """The four terms read directly off the formula: Fraction sums, with B
+    summing i * com_bounded(n - k, i, c) over every k and i."""
+    fact = math.factorial(n)
+    a_term = Fraction(fact, 12) * sum(
+        Fraction((-1) ** k * c ** (n - k) * (n - k - 1) * (3 * n + k), math.factorial(k))
+        for k in range(n)
+    )
+    b_term = fact * sum(
+        Fraction((-1) ** k, math.factorial(k))
+        * sum(i * com_bounded(n - k, i, c) for i in range((n - k) * (c - 1) + 1))
+        for k in range(n + 1)
+    )
+    c1_term = Fraction(fact * (c - 1), 2) * sum(
+        Fraction((-1) ** k * c ** (n - k) * binomial(n - k, 2), math.factorial(k))
+        for k in range(n + 1)
+    )
+    c2_term = Fraction(fact * (c - 1), 6) * sum(
+        Fraction((-1) ** k * c ** (n - k) * (2 * (n - k) + 1), math.factorial(k - 1))
+        for k in range(1, n)
+    )
+    terms = (a_term, b_term, c1_term, c2_term)
+    assert all(x.denominator == 1 for x in terms)
+    return tuple(int(x) for x in terms)
+
 
 class TestInvolutionCounts:
     def test_classical_sequence(self):
@@ -134,7 +176,8 @@ class TestInvolutionInversionTotals:
 
 # Run under python -O, where asserts are stripped: every integrality check
 # must still raise. An odd factorial makes the grand totals' halving and
-# t_classical's division by 12 inexact.
+# t_classical's division by 12 inexact; a constant binomial does the same
+# to the halving in t_colored_terms' C1 term.
 _INTEGRALITY_PROBE = """
 import json, math
 from fractions import Fraction
@@ -152,6 +195,8 @@ math.factorial = lambda m: 1
 result["closed"] = raises(counting.total_inversions_closed, 2, 1)
 result["recurrence"] = raises(counting.total_inversions_recurrence, 2, 1)
 result["t_classical"] = raises(special.t_classical, 2)
+special.binomial = lambda a, b: 1
+result["t_colored_terms"] = raises(special.t_colored_terms, 2, 2)
 print(json.dumps(result))
 """
 
@@ -165,5 +210,5 @@ def test_integrality_checks_survive_python_O():
     )
     assert json.loads(proc.stdout) == {
         "debug": False, "exact_int": True, "closed": True,
-        "recurrence": True, "t_classical": True,
+        "recurrence": True, "t_classical": True, "t_colored_terms": True,
     }
