@@ -23,7 +23,7 @@ from .counting import (
 )
 from .oracle import CapExceeded, ClassKind
 from .perm import ColoredPermutation
-from .stats import StatisticKind, col, cross_term, inv, maj, max_inv_c, projection
+from .stats import StatisticKind, col, cross_term, inv, maj, projection
 
 _SEQ_NAMES = ("ic", "I", "d", "t", "r", "iinv")
 
@@ -134,27 +134,13 @@ def cmd_dist(args) -> int:
 def cmd_table(args) -> int:
     which = args.which
     mismatches = 0
-    if which in (2, 4):
-        cells = oracle.fixture_cells(which)
-        for c, n, expected, computed in cells:
-            ok = computed == expected
+    if which != 3:
+        rows = oracle.table_rows(which)
+        for *fields, ok in rows:
             mismatches += not ok
-            print(f"{which},{c},{n},{expected},{computed},{'ok' if ok else 'MISMATCH'}")
-        print(f"summary,{which},cells={len(cells)},mismatches={mismatches}")
-        return 1 if mismatches else 0
-
-    if which == 1:
-        for stat in (StatisticKind.INV_C, StatisticKind.TILDE_INV_C):
-            fixture = tables.table1_sets(stat)
-            by_k = oracle.table1_computed(stat)
-            for k in range(max_inv_c(3, 2) + 1):
-                ok = by_k.get(k, set()) == fixture.get(k, set())
-                mismatches += not ok
-                print(
-                    f"1,{stat.value},{k},{len(fixture.get(k, set()))},"
-                    f"{len(by_k.get(k, set()))},{'ok' if ok else 'MISMATCH'}"
-                )
-        print(f"summary,1,rows=20,mismatches={mismatches}")
+            print(which, *fields, "ok" if ok else "MISMATCH", sep=",")
+        unit = "rows" if which == 1 else "cells"
+        print(f"summary,{which},{unit}={len(rows)},mismatches={mismatches}")
         return 1 if mismatches else 0
 
     # table 3: documented misalignment, compared against the oracle instead

@@ -331,24 +331,29 @@ def gf_histogram(n: int, c: int) -> dict[int, int]:
     return {k: v for k, v in enumerate(gf_colored(n, c).coefficients) if v}
 
 
-def fixture_cells(which: int) -> list[tuple[int, int, int, int]]:
-    """(c, n, fixture value, formula value) for every cell of paper table 2
-    (derangement inversion totals) or 4 (involution inversion totals)."""
-    table, formula = {
-        2: (tables.table2, special.t_colored),
-        4: (tables.table4, special.involution_inv_total),
-    }[which]
-    return [(c, n, value, formula(n, c)) for (c, n), value in sorted(table().items())]
-
-
-def table1_computed(statistic: StatisticKind) -> dict[int, set[str]]:
-    """The windows of the c = 2, n = 3 group grouped by their statistic
-    value, as paper table 1 lists them."""
-    statistic = StatisticKind(statistic)
-    by_k: dict[int, set[str]] = {}
-    for sigma in enumerate_group(3, 2):
-        by_k.setdefault(statistic_value(statistic, sigma), set()).add(str(sigma))
-    return by_k
+def table_rows(which: int) -> list[tuple]:
+    """Paper table 2 or 4 (derangement and involution inversion totals) as
+    rows (c, n, fixture value, formula value, ok), or table 1 as rows
+    (statistic, k, fixture size, enumerated size, ok) for each k on either
+    side, ok comparing the c = 2, n = 3 windows listed and enumerated at k."""
+    rows = []
+    if which != 1:
+        table, formula = {
+            2: (tables.table2, special.t_colored),
+            4: (tables.table4, special.involution_inv_total),
+        }[which]
+        for (c, n), value in sorted(table().items()):
+            computed = formula(n, c)
+            rows.append((c, n, value, computed, value == computed))
+        return rows
+    for stat in (StatisticKind.INV_C, StatisticKind.TILDE_INV_C):
+        fixture, by_k = tables.table1_sets(stat), {}
+        for sigma in enumerate_group(3, 2):
+            by_k.setdefault(statistic_value(stat, sigma), set()).add(str(sigma))
+        for k in sorted(fixture.keys() | by_k.keys()):
+            want, got = fixture.get(k, set()), by_k.get(k, set())
+            rows.append((stat.value, k, len(want), len(got), want == got))
+    return rows
 
 
 def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
@@ -446,22 +451,21 @@ def verify_suite(max_budget: int = DEFAULT_BUDGET) -> list[dict]:
 
     # paper table fixtures versus formulas
     for which in (2, 4):
-        cells = fixture_cells(which)
+        rows = table_rows(which)
         detail = next(
             (
                 f"differs at (c={c}, n={n}): fixture {value}, formula {computed}"
-                for c, n, value, computed in cells
-                if value != computed
+                for c, n, value, computed, ok in rows
+                if not ok
             ),
             "",
         )
-        report.append(_entry(f"table-{which}-fixture", {"cells": len(cells)}, not detail, detail))
+        report.append(_entry(f"table-{which}-fixture", {"cells": len(rows)}, not detail, detail))
     if group_size(3, 2) <= max_budget:
-        for identity, stat in (
-            ("table-1-inv-c-sets", StatisticKind.INV_C),
-            ("table-1-tilde-sets", StatisticKind.TILDE_INV_C),
-        ):
-            ok = table1_computed(stat) == tables.table1_sets(stat)
+        rows = table_rows(1)
+        for identity, stat in (("table-1-inv-c-sets", StatisticKind.INV_C),
+                               ("table-1-tilde-sets", StatisticKind.TILDE_INV_C)):
+            ok = all(row[-1] for row in rows if row[0] == stat.value)
             report.append(_entry(identity, {"c": 2, "n": 3}, ok))
 
     return report

@@ -52,6 +52,7 @@ def composition_moments(n: int, c: int) -> list[int]:
     com(m, i, c) counts compositions of i into m parts, each < c: the
     coefficients of [c]_q^m.  One row of them gains a part per step.
     """
+    check_group(n, c)
     row, moments = [1], [0]
     for _ in range(n):
         row = times_q_integer(row, c)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mahonian import oracle
+from mahonian import oracle, tables
 from mahonian.cli import main
 from mahonian.counting import MahonianMethod, i_colored_row
 from mahonian.stats import max_inv_c
@@ -176,6 +176,28 @@ class TestTable:
         assert code == 0
         assert "MISMATCH" not in out
         assert "mismatches=0" in out
+
+    @pytest.mark.parametrize(
+        "edit,mismatch,rows",
+        [
+            ({10: {"1 2 3"}}, "10,1,0", 22),  # a row past the top value
+            ({0: {"2 1 3"}}, "0,1,1", 20),  # a wrong window, row size unchanged
+        ],
+        ids=["extra-row", "wrong-window"],
+    )
+    def test_table1_checks_every_row(self, capsys, monkeypatch, edit, mismatch, rows):
+        table1_sets = tables.table1_sets
+        monkeypatch.setattr(tables, "table1_sets", lambda stat: {**table1_sets(stat), **edit})
+        code, out, _ = run(capsys, "table", "--which", "1")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.endswith("MISMATCH")] == [
+            f"1,inv_c,{mismatch},MISMATCH", f"1,tilde_inv_c,{mismatch},MISMATCH",
+        ]
+        assert out.splitlines()[-1] == f"summary,1,rows={rows},mismatches=2"
+        code, out, _ = run(capsys, "verify", "--budget", "48")
+        status = {r["identity"]: r["status"] for r in json.loads(out)["results"]}
+        assert code == 1
+        assert status["table-1-inv-c-sets"] == status["table-1-tilde-sets"] == "fail"
 
     def test_table3_reports_misalignment(self, capsys):
         code, out, _ = run(capsys, "table", "--which", "3")

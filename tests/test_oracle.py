@@ -19,6 +19,7 @@ from mahonian import (
     verify_suite,
 )
 from mahonian import counting, lehmer, oracle, special, tables
+from mahonian.cli import main
 from mahonian.oracle import code_sum_histogram, coverage_pairs, scan_group
 from mahonian.stats import StatisticKind, statistic_value
 
@@ -333,18 +334,18 @@ class TestVerifySuite:
         assert report[0]["identity"] == "coverage"
         assert report[0]["status"] == "pass"
 
-    def test_failures_name_the_first_failing_cell(self, monkeypatch):
-        wrong_t = {(2, 3): 10**6, (3, 4): 10**6}  # (c, n): injected value
-        wrong_iinv = {(1, 4): 10**6, (2, 2): 10**6}
+    def test_failures_name_the_first_failing_cell(self, monkeypatch, capsys):
+        wrong_t = {(2, 3), (3, 4)}  # (c, n) cells given the formula value 10**6
+        wrong_iinv = {(1, 4)}
         wrong_rows = {(1, 2), (3, 5)}  # (c, n)
         t_colored, iinv_total = special.t_colored, special.involution_inv_total
         row_recurrence = counting._row_recurrence
         monkeypatch.setattr(
-            special, "t_colored", lambda n, c: wrong_t.get((c, n)) or t_colored(n, c)
+            special, "t_colored", lambda n, c: 10**6 if (c, n) in wrong_t else t_colored(n, c)
         )
         monkeypatch.setattr(
             special, "involution_inv_total",
-            lambda n, c: wrong_iinv.get((c, n)) or iinv_total(n, c),
+            lambda n, c: 10**6 if (c, n) in wrong_iinv else iinv_total(n, c),
         )
 
         def recurrence(n, c):
@@ -353,16 +354,22 @@ class TestVerifySuite:
 
         monkeypatch.setattr(counting, "_row_recurrence", recurrence)
         entries = {r["identity"]: r for r in verify_suite(10)}
-        table2, table4 = tables.table2(), tables.table4()
 
-        assert entries["table-2-fixture"]["status"] == "fail"
-        assert entries["table-2-fixture"]["detail"] == (
-            f"differs at (c=2, n=3): fixture {table2[2, 3]}, formula {10**6}"
-        )
-        assert entries["table-4-fixture"]["status"] == "fail"
-        assert entries["table-4-fixture"]["detail"] == (
-            f"differs at (c=1, n=4): fixture {table4[1, 4]}, formula {10**6}"
-        )
+        for which, wrong in ((2, wrong_t), (4, wrong_iinv)):
+            fixture = tables.table2() if which == 2 else tables.table4()
+            c, n = min(wrong)
+            assert entries[f"table-{which}-fixture"]["status"] == "fail"
+            assert entries[f"table-{which}-fixture"]["detail"] == (
+                f"differs at (c={c}, n={n}): fixture {fixture[c, n]}, formula {10**6}"
+            )
+            # the table command marks the same cells, and no others
+            code = main(["table", "--which", str(which)])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 1
+            assert [line for line in lines if line.endswith("MISMATCH")] == [
+                f"{which},{c},{n},{fixture[c, n]},{10**6},MISMATCH" for c, n in sorted(wrong)
+            ]
+            assert lines[-1] == f"summary,{which},cells={len(fixture)},mismatches={len(wrong)}"
         assert entries["method-agreement"]["status"] == "fail"
         assert entries["method-agreement"]["detail"] == "recurrence disagrees at (n=2, c=1)"
 

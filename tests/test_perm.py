@@ -214,6 +214,7 @@ _GROUP_FUNCTIONS = {
     "total_inversions_ratio": counting.total_inversions_ratio,
     "derangement_count": special.derangement_count,
     "derangement_count_recurrence": special.derangement_count_recurrence,
+    "composition_moments": special.composition_moments,
     "t_colored": special.t_colored,
     "t_colored_terms": special.t_colored_terms,
     "involution_count": special.involution_count,
